@@ -42,7 +42,16 @@ from .queries import (
     minimal_satisfiable_sets,
     query_probability,
 )
-from .scores import EndoWorlds, banzhaf, causal_effect, shapley
+from .scores import (
+    EndoWorlds,
+    ScoreKind,
+    _swing_scores,
+    banzhaf,
+    causal_effect,
+    shapley,
+    swing_sum,
+    total_power,
+)
 
 #: SYM and G-SYM quantify over all subsets excluding a tuple pair; the
 #: exhaustive pair check is capped here.
@@ -122,23 +131,15 @@ def _require_boolean(q: Query):
         raise InputError("axiom checks take monotone Boolean queries")
 
 
-def _swings(values, worlds: EndoWorlds, bit: int):
-    for mask in range(worlds.size):
-        if not mask & bit:
-            yield mask, values[mask | bit] - values[mask]
-
-
 def check_dum(
     pdb: PDBSpace, q: Query, score_fn: ScoreFunction, cap: int | None = None
 ) -> AxiomVerdict:
     """Tuples that swing no subset must score zero."""
     _require_boolean(q)
-    worlds = EndoWorlds(pdb.instance, cap)
-    values = worlds.value_table(q)
+    tids = pdb.instance.endogenous_order
+    powers = _swing_scores(pdb, q, ScoreKind.POWER_TUPLE, tids, cap)
     witnesses = []
-    for tid in worlds.order:
-        bit = 1 << worlds.bit[tid]
-        power = sum(swing for _, swing in _swings(values, worlds, bit))
+    for tid, power in zip(tids, powers):
         if power == 0:
             score = score_fn(pdb, q, tid)
             if score != 0:
@@ -151,15 +152,9 @@ def check_eff(
 ) -> AxiomVerdict:
     """The scores must sum to the total power divided by 2^(N-1)."""
     _require_boolean(q)
-    worlds = EndoWorlds(pdb.instance, cap)
-    values = worlds.value_table(q)
-    n = len(worlds.order)
-    total = Fraction(0)
-    for tid in worlds.order:
-        bit = 1 << worlds.bit[tid]
-        total += sum(swing for _, swing in _swings(values, worlds, bit))
-    rhs = total / (1 << max(n - 1, 0))
-    lhs = sum((score_fn(pdb, q, tid) for tid in worlds.order), Fraction(0))
+    tids = pdb.instance.endogenous_order
+    rhs = total_power(pdb, q, cap) / (1 << max(len(tids) - 1, 0))
+    lhs = sum((score_fn(pdb, q, tid) for tid in tids), Fraction(0))
     witnesses = [] if lhs == rhs else [Witness("sum of scores", lhs, rhs)]
     return _verdict("EFF", witnesses)
 
@@ -215,22 +210,9 @@ def check_g_eff(
     """The scores must sum to the swing total weighted, per subset and
     tuple, by the mass at the subset plus the mass with the tuple added."""
     _require_boolean(q)
-    worlds = EndoWorlds(pdb.instance, cap)
-    values = worlds.value_table(q)
-    masses = worlds.mass_table(pdb)
-    full = worlds.size - 1
-    rhs = Fraction(0)
-    for mask in range(worlds.size):
-        if mask == full:
-            continue
-        rest = full & ~mask
-        while rest:
-            bit = rest & -rest
-            swing = values[mask | bit] - values[mask]
-            if swing:
-                rhs += swing * (masses[mask] + masses[mask | bit])
-            rest ^= bit
-    lhs = sum((score_fn(pdb, q, tid) for tid in worlds.order), Fraction(0))
+    tids = pdb.instance.endogenous_order
+    rhs = sum(_swing_scores(pdb, q, ScoreKind.GCES, tids, cap), Fraction(0))
+    lhs = sum((score_fn(pdb, q, tid) for tid in tids), Fraction(0))
     witnesses = [] if lhs == rhs else [Witness("sum of scores", lhs, rhs)]
     return _verdict("G-EFF", witnesses)
 
@@ -246,11 +228,7 @@ def check_g_sym(
     masses = worlds.mass_table(pdb)
 
     def weighted(tid: str) -> Fraction:
-        bit = 1 << worlds.bit[tid]
-        return sum(
-            (swing * masses[mask] for mask, swing in _swings(values, worlds, bit) if swing),
-            Fraction(0),
-        )
+        return swing_sum(values, 1 << worlds.bit[tid], masses.__getitem__)
 
     witnesses = []
     adjusted: dict[str, Fraction] = {}

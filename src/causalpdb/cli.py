@@ -50,6 +50,10 @@ EXIT_INPUT = 2
 ENV_MAX_WORLDS = "CES_MAX_WORLDS"
 
 
+class InvalidSpaceError(Exception):
+    """The document's distribution breaks a space invariant."""
+
+
 def _frac_json(value) -> dict:
     return {
         "value": f"{value.numerator}/{value.denominator}",
@@ -73,11 +77,24 @@ def _resolve_cap(args) -> int | None:
     return None
 
 
-def _load(args, need_space: bool = True):
+def _read(args, need_space: bool = True):
     doc = load_pdb_file(args.pdb)
     if need_space and doc.space is None:
         raise InputError(
             f"{args.pdb}: no distribution; the document needs 'worlds' or 'marginals'"
+        )
+    return doc
+
+
+def _load(args, need_space: bool = True):
+    """Read the document and refuse an invalid space before anything uses
+    it."""
+    doc = _read(args, need_space)
+    violations = validate(doc.space) if doc.space is not None else []
+    if violations:
+        raise InvalidSpaceError(
+            f"{args.pdb}: invalid space: "
+            + "; ".join(f"[{v.code}] {v.detail}" for v in violations)
         )
     return doc
 
@@ -114,7 +131,7 @@ def _check_threads(args):
 
 def cmd_validate(args) -> int:
     _check_threads(args)
-    doc = _load(args)
+    doc = _read(args)
     violations = validate(doc.space)
     if args.format == "json":
         _emit_json(
@@ -373,7 +390,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DichotomyError, ResourceLimitError) as exc:
+    except (DichotomyError, ResourceLimitError, InvalidSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (InputError, OSError) as exc:

@@ -465,26 +465,40 @@ def enumerate_worlds(
     for i in range(len(members) - 1, -1, -1):
         next_fixed[i] = i if members[i] in fixed_set else next_fixed[i + 1]
 
-    def emit(start: int, chosen: list[str], mass: Fraction):
-        # Worlds in lexicographic list order: stopping (excluding all
-        # remaining tuples) sorts before any extension, and is legal only
-        # when no always-present tuple remains.
-        if next_fixed[start] == len(members):
+    # Depth-first in lexicographic list order on an explicit stack, so the
+    # depth is not bounded by the recursion limit.  Stopping (excluding all
+    # remaining tuples) sorts before any extension, and is legal only when
+    # no always-present tuple remains.  A frame holds the next member to
+    # add, the last member addable without skipping an always-present one,
+    # and the prefix's mass with the members skipped so far excluded.
+    n = len(members)
+    chosen: list[str] = []
+    stack: list[list] = []
+    start, mass = 0, Fraction(1)
+    while True:
+        if next_fixed[start] == n:
             yield frozenset(chosen), mass * suffix_out[start]
-        running = mass
-        for idx in range(start, next_fixed[start] + 1):
-            if idx == len(members):
+        stack.append([start, min(next_fixed[start], n - 1), mass])
+        while stack:
+            frame = stack[-1]
+            idx, last, running = frame
+            if idx <= last:
                 break
-            tid = members[idx]
-            if tid in fixed_set:
-                yield from emit(idx + 1, chosen + [tid], running)
-            else:
-                p = _marginal(rep, tid)
-                yield from emit(idx + 1, chosen + [tid], running * p)
-                running *= 1 - p
-        return
-
-    yield from emit(0, [], Fraction(1))
+            stack.pop()
+            if stack:
+                chosen.pop()
+        else:
+            return
+        tid = members[idx]
+        frame[0] = idx + 1
+        if tid in fixed_set:
+            mass = running
+        else:
+            p = _marginal(rep, tid)
+            mass = running * p
+            frame[2] = running * (1 - p)
+        chosen.append(tid)
+        start = idx + 1
 
 
 def make_uniform_tid(instance: InstanceStore) -> PDBSpace:

@@ -7,8 +7,13 @@ of the query's expectations under the do(T in) and do(T out) distributions;
 for Boolean queries these are intervened probabilities.  On
 tuple-independent spaces with self-join-free hierarchical BCQs the two
 probabilities come from the lifted evaluator, otherwise from world sums.
-Shapley and Banzhaf use subset enumeration with exact rational weights
-(2^N subsets beat N! permutations).
+
+Every subset score is one weighted swing sum over one value table
+(`swing_sum`): the sum, over the endogenous subsets S without tuple t, of
+Q(S + t) - Q(S) times a weight that depends only on the score.  Shapley
+weighs by |S| (2^N subsets beat N! permutations), Banzhaf and power weigh
+uniformly, weighted power by the mass p(S), and the causal effect's subset
+form by p(S) + p(S + t).
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .core import (
+    DEFAULT_WORLD_CAP,
     ExplicitWorlds,
     InputError,
     InstanceStore,
@@ -50,7 +56,7 @@ from .queries import (
 
 #: Cap on endogenous tuples for subset-enumeration scores (shared with the
 #: world-enumeration cap).
-DEFAULT_SUBSET_CAP = 25
+DEFAULT_SUBSET_CAP = DEFAULT_WORLD_CAP
 
 BRUTE = "brute"
 LIFTED = "lifted"
@@ -135,6 +141,60 @@ class EndoWorlds:
                 raise InputError(f"tuple {tid!r} has no marginal")
             table = [t * (1 - p) for t in table] + [t * p for t in table]
         return table
+
+
+def swing_sum(values, bit: int, weight=None) -> Fraction:
+    """Sum of the swings ``values[S | bit] - values[S]`` over the masks S
+    without ``bit``, each nonzero swing multiplied by ``weight(S)`` when a
+    weight is given."""
+    total = 0
+    for high in range(0, len(values), bit << 1):
+        for mask in range(high, high + bit):
+            swing = values[mask | bit] - values[mask]
+            if swing:
+                total += swing if weight is None else swing * weight(mask)
+    return Fraction(total)
+
+
+def _shapley_weights(n: int) -> list[Fraction]:
+    total = math.factorial(n)
+    return [
+        Fraction(math.factorial(k) * math.factorial(n - k - 1), total)
+        for k in range(n)
+    ]
+
+
+def _swing_scores(
+    source: Union[PDBSpace, InstanceStore], q: Query, kind: ScoreKind,
+    tids: Sequence[str], cap: int | None = None,
+) -> list[Fraction]:
+    """Scores of the given tuples for a subset-enumeration kind (GCES meaning
+    its subset form), all from one value table and, for the mass-weighted
+    kinds, one mass table."""
+    instance = _instance_of(source)
+    instance.require_endogenous(tids)
+    worlds = EndoWorlds(instance, cap)
+    values = worlds.value_table(q)
+    n = len(worlds.order)
+    weight = None  # Banzhaf and power weigh every swing alike
+    if kind is ScoreKind.SHAPLEY:
+        # A weight per mask (a list lookup costs less than a call per
+        # swing); the full mask holds every bit, so no swing starts there.
+        shares = _shapley_weights(n)
+        by_mask = [shares[mask.bit_count()] for mask in range(worlds.size - 1)]
+        weight = by_mask.__getitem__
+    elif kind is ScoreKind.WEIGHTED_POWER:
+        weight = worlds.mass_table(source).__getitem__
+    elif kind is ScoreKind.GCES:
+        masses = worlds.mass_table(source)
+    scale = Fraction(1, 1 << max(n - 1, 0)) if kind is ScoreKind.BANZHAF else 1
+    scores = []
+    for tid in tids:
+        bit = 1 << worlds.bit[tid]
+        if kind is ScoreKind.GCES:
+            weight = lambda mask: masses[mask] + masses[mask | bit]
+        scores.append(swing_sum(values, bit, weight) * scale)
+    return scores
 
 
 def delta(
@@ -239,19 +299,7 @@ def gces_subset_form(
     """Single-tuple causal effect as a swing sum: over subsets not holding
     the tuple, the contribution weighted by the mass at the subset plus the
     mass at the subset with the tuple added."""
-    pdb.instance.require_endogenous([tid])
-    worlds = EndoWorlds(pdb.instance, cap)
-    values = worlds.value_table(q)
-    masses = worlds.mass_table(pdb)
-    bit = 1 << worlds.bit[tid]
-    total = Fraction(0)
-    for mask in range(worlds.size):
-        if mask & bit:
-            continue
-        swing = values[mask | bit] - values[mask]
-        if swing:
-            total += swing * (masses[mask] + masses[mask | bit])
-    return total
+    return _swing_scores(pdb, q, ScoreKind.GCES, [tid], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -319,51 +367,18 @@ def gces_oracle(
 # Shapley and Banzhaf
 # ---------------------------------------------------------------------------
 
-def _shapley_weights(n: int) -> list[Fraction]:
-    total = math.factorial(n)
-    return [
-        Fraction(math.factorial(k) * math.factorial(n - k - 1), total)
-        for k in range(n)
-    ]
-
-
-def _swing_masks(worlds: EndoWorlds, tid: str):
-    bit = 1 << worlds.bit[tid]
-    for mask in range(worlds.size):
-        if not mask & bit:
-            yield mask, bit
-
-
 def shapley(
     instance: InstanceStore, q: Query, tid: str, cap: int | None = None
 ) -> Fraction:
     """Shapley value by subset enumeration with exact factorial weights."""
-    instance.require_endogenous([tid])
-    worlds = EndoWorlds(instance, cap)
-    values = worlds.value_table(q)
-    weights = _shapley_weights(len(worlds.order))
-    total = Fraction(0)
-    for mask, bit in _swing_masks(worlds, tid):
-        swing = values[mask | bit] - values[mask]
-        if swing:
-            total += weights[mask.bit_count()] * swing
-    return total
+    return _swing_scores(instance, q, ScoreKind.SHAPLEY, [tid], cap)[0]
 
 
 def banzhaf(
     instance: InstanceStore, q: Query, tid: str, cap: int | None = None
 ) -> Fraction:
     """Banzhaf value: the uniformly weighted swing sum."""
-    instance.require_endogenous([tid])
-    worlds = EndoWorlds(instance, cap)
-    values = worlds.value_table(q)
-    share = Fraction(1, 1 << max(len(worlds.order) - 1, 0))
-    total = Fraction(0)
-    for mask, bit in _swing_masks(worlds, tid):
-        swing = values[mask | bit] - values[mask]
-        if swing:
-            total += swing
-    return total * share
+    return _swing_scores(instance, q, ScoreKind.BANZHAF, [tid], cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +406,14 @@ def power_of_tuple(
     cap: int | None = None,
 ) -> Fraction:
     """Number of endogenous subsets the tuple swings."""
-    instance = _instance_of(source)
-    instance.require_endogenous([tid])
-    worlds = EndoWorlds(instance, cap)
-    values = worlds.value_table(q)
-    total = Fraction(0)
-    for mask, bit in _swing_masks(worlds, tid):
-        total += values[mask | bit] - values[mask]
-    return total
+    return _swing_scores(source, q, ScoreKind.POWER_TUPLE, [tid], cap)[0]
 
 
 def weighted_power(
     pdb: PDBSpace, q: Query, tid: str, cap: int | None = None
 ) -> Fraction:
     """Swing sum weighted by the distribution's mass at each subset."""
-    pdb.instance.require_endogenous([tid])
-    worlds = EndoWorlds(pdb.instance, cap)
-    values = worlds.value_table(q)
-    masses = worlds.mass_table(pdb)
-    total = Fraction(0)
-    for mask, bit in _swing_masks(worlds, tid):
-        swing = values[mask | bit] - values[mask]
-        if swing:
-            total += swing * masses[mask]
-    return total
+    return _swing_scores(pdb, q, ScoreKind.WEIGHTED_POWER, [tid], cap)[0]
 
 
 def total_power(
@@ -422,20 +421,9 @@ def total_power(
 ) -> Fraction:
     """Double swing sum over all strict endogenous subsets and all tuples
     outside them; equals the sum of the tuples' powers."""
-    instance = _instance_of(source)
-    worlds = EndoWorlds(instance, cap)
-    values = worlds.value_table(q)
-    full = worlds.size - 1
-    total = Fraction(0)
-    for mask in range(worlds.size):
-        if mask == full:
-            continue
-        rest = full & ~mask
-        while rest:
-            bit = rest & -rest
-            total += values[mask | bit] - values[mask]
-            rest ^= bit
-    return total
+    tids = _instance_of(source).endogenous_order
+    powers = _swing_scores(source, q, ScoreKind.POWER_TUPLE, tids, cap)
+    return sum(powers, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -538,37 +526,14 @@ def score_all(
         for tid in tids:
             value, backend = _causal_effect(uniform, q, frozenset([tid]), cap)
             entries.append(ScoreEntry(tid, value, backend, positive_ceui=value > 0))
-    elif kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE):
-        worlds = EndoWorlds(instance, cap)
-        values = worlds.value_table(q)
-        n = len(worlds.order)
-        weights = _shapley_weights(n) if kind is ScoreKind.SHAPLEY else None
-        share = Fraction(1, 1 << max(n - 1, 0))
-        for tid in tids:
-            total = Fraction(0)
-            for mask, bit in _swing_masks(worlds, tid):
-                swing = values[mask | bit] - values[mask]
-                if swing:
-                    if kind is ScoreKind.SHAPLEY:
-                        total += weights[mask.bit_count()] * swing
-                    else:
-                        total += swing
-            if kind is ScoreKind.BANZHAF:
-                total *= share
-            entries.append(ScoreEntry(tid, total, BRUTE))
-    elif kind is ScoreKind.WEIGHTED_POWER:
-        if not isinstance(source, PDBSpace):
+    elif kind in (
+        ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
+        ScoreKind.WEIGHTED_POWER,
+    ):
+        if kind is ScoreKind.WEIGHTED_POWER and not isinstance(source, PDBSpace):
             raise InputError("weighted-power needs a probability space")
-        worlds = EndoWorlds(instance, cap)
-        values = worlds.value_table(q)
-        masses = worlds.mass_table(source)
-        for tid in tids:
-            total = Fraction(0)
-            for mask, bit in _swing_masks(worlds, tid):
-                swing = values[mask | bit] - values[mask]
-                if swing:
-                    total += swing * masses[mask]
-            entries.append(ScoreEntry(tid, total, BRUTE))
+        for tid, value in zip(tids, _swing_scores(source, q, kind, tids, cap)):
+            entries.append(ScoreEntry(tid, value, BRUTE))
     else:  # pragma: no cover - ScoreKind is exhaustive
         raise InputError(f"unknown score kind {kind!r}")
     report_values = {e.tid: e.value for e in entries}

@@ -56,14 +56,62 @@ def test_validate_valid_space(capsys):
     assert out.strip() == "valid"
 
 
-def test_validate_reports_violations(tmp_path, capsys):
+def _four_worlds_with_first_mass(tmp_path, p):
     doc = json.loads((FIXTURES / "four_worlds_pdb.json").read_text())
-    doc["worlds"][0]["p"] = "0.10"  # breaks total mass
+    doc["worlds"][0]["p"] = p
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    return bad
+
+
+def test_validate_reports_violations(tmp_path, capsys):
+    bad = _four_worlds_with_first_mass(tmp_path, "0.10")  # breaks total mass
     code, out, _ = run(capsys, "validate", "--pdb", bad)
     assert code == 1
     assert "mass-total" in out
+
+
+def test_invalid_spaces_are_refused_before_scoring(tmp_path, capsys):
+    query = FIXTURES / "path_query.q"
+    for p, total in (("0.10", "9/10"), ("1.0", "9/5")):
+        bad = _four_worlds_with_first_mass(tmp_path, p)
+        for argv in (
+            ("prob",),
+            ("prob", "--backend", "brute"),
+            ("score", "--kind", "gces"),
+            ("score", "--kind", "weighted-power"),
+            ("score", "--kind", "shapley"),
+            ("oracle-compare", "--tuple", "t3"),
+            ("axioms",),
+        ):
+            code, out, err = run(capsys, *argv, "--pdb", bad, "--query", query)
+            assert code == 1, argv
+            assert out == ""
+            assert "[mass-total]" in err and f"sum to {total}, not 1" in err
+        code, out, err = run(capsys, "intervene", "--pdb", bad, "--in", "t3")
+        assert code == 1 and out == "" and "[mass-total]" in err
+
+
+def test_brute_enumeration_of_thousands_of_sure_tuples(tmp_path, capsys):
+    n = 3000
+    doc = {
+        "schema": {"R": 1, "E": 2},
+        "tuples": [{"tid": "r", "predicate": "R", "args": ["a"], "kind": "endogenous"}]
+        + [
+            {"tid": f"e{i}", "predicate": "E", "args": [f"a{i}", "b"], "kind": "exogenous"}
+            for i in range(n)
+        ],
+        "marginals": {"r": "0.5", **{f"e{i}": "1" for i in range(n)}},
+    }
+    pdb = tmp_path / "deep.json"
+    pdb.write_text(json.dumps(doc))
+    query = tmp_path / "q.q"
+    query.write_text("Q() :- R(a), E(X,b)\n")
+    code, out, err = run(
+        capsys, "prob", "--backend", "brute", "--pdb", pdb, "--query", query
+    )
+    assert (code, err) == (0, "")
+    assert out == "P(Q) = 0.500000 (1/2) [brute]\n"
 
 
 def test_prob_brute_and_lifted_agree(capsys):

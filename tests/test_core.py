@@ -324,6 +324,8 @@ def test_tid_enumeration_invariants(marginals):
         ),
     )
     worlds = list(enumerate_worlds(space))
+    keys = [tuple(sorted(w)) for w, _ in worlds]
+    assert keys == sorted(set(keys))  # canonical order, no repeats
     assert sum(m for _, m in worlds) == 1
     if all(0 < m < 1 for m in marginals):
         assert len(worlds) == 2 ** len(marginals)

@@ -32,6 +32,7 @@ from causalpdb import (
 from causalpdb.scores import _causal_effect
 
 from helpers import (
+    CORPUS_SCHEMA,
     oracle_banzhaf,
     oracle_causal_effect,
     oracle_power_of_tuple,
@@ -434,6 +435,34 @@ def test_score_all_input_order_invariance():
         again = score_all(shuffled, q, ScoreKind.SHAPLEY)
         assert again.ranking == base.ranking
         assert again.values() == base.values()
+
+
+SUBSET_ORACLES = {
+    ScoreKind.SHAPLEY: lambda space, q, tid: oracle_shapley(space.instance, q, tid),
+    ScoreKind.BANZHAF: lambda space, q, tid: oracle_banzhaf(space.instance, q, tid),
+    ScoreKind.POWER_TUPLE: lambda space, q, tid: oracle_power_of_tuple(
+        space.instance, q, tid
+    ),
+    ScoreKind.WEIGHTED_POWER: oracle_weighted_power,
+}
+
+
+@pytest.mark.parametrize("kind", list(SUBSET_ORACLES), ids=lambda k: k.value)
+def test_score_all_matches_oracles(kind):
+    # Every third query counts a cross product: adding one P tuple adds an
+    # assignment per T tuple, so swings exceed 1, and the value table takes
+    # the non-monotone path.
+    cross = parse_query("Q(count()) :- P(X), T(Y)", CORPUS_SCHEMA)
+    rng = random.Random(767)
+    for i in range(12):
+        inst = random_instance(rng, max_endogenous=5, min_endogenous=3)
+        space = random_explicit_space(rng, inst) if i % 2 else random_tid_space(rng, inst)
+        q = cross if i % 3 == 0 else random_boolean_query(rng)
+        report = score_all(space, q, kind)
+        expected = {t: SUBSET_ORACLES[kind](space, q, t) for t in inst.endogenous_order}
+        assert report.values() == expected
+        if kind is ScoreKind.POWER_TUPLE:
+            assert total_power(space, q) == sum(expected.values())
 
 
 def test_report_serialization():
