@@ -24,9 +24,11 @@ from .axioms import (
 )
 from .core import (
     InputError,
+    InvalidSpaceError,
     ResourceLimitError,
     fraction_to_decimal,
     load_pdb_file,
+    require_valid,
     space_to_document,
     validate,
 )
@@ -48,10 +50,6 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 ENV_MAX_WORLDS = "CES_MAX_WORLDS"
-
-
-class InvalidSpaceError(Exception):
-    """The document's distribution breaks a space invariant."""
 
 
 def _frac_json(value) -> dict:
@@ -90,12 +88,11 @@ def _load(args, need_space: bool = True):
     """Read the document and refuse an invalid space before anything uses
     it."""
     doc = _read(args, need_space)
-    violations = validate(doc.space) if doc.space is not None else []
-    if violations:
-        raise InvalidSpaceError(
-            f"{args.pdb}: invalid space: "
-            + "; ".join(f"[{v.code}] {v.detail}" for v in violations)
-        )
+    if doc.space is not None:
+        try:
+            require_valid(doc.space)
+        except InvalidSpaceError as exc:
+            raise InvalidSpaceError(f"{args.pdb}: {exc}") from None
     return doc
 
 

@@ -34,6 +34,10 @@ class InputError(ValueError):
     """Malformed input: bad wire data, unknown identifiers, bad arguments."""
 
 
+class InvalidSpaceError(InputError):
+    """A distribution breaks a space invariant (see `validate`)."""
+
+
 class ResourceLimitError(RuntimeError):
     """An exact enumeration would exceed a configured size cap."""
 
@@ -258,7 +262,7 @@ class InstanceStore:
 
     def require_endogenous(self, tids: Iterable[str]) -> frozenset[str]:
         tids = frozenset(tids)
-        for tid in tids:
+        for tid in sorted(tids):  # the first bad id named is the least one
             rec = self.record(tid)
             if not rec.is_endogenous:
                 raise InputError(f"tuple {tid!r} is exogenous")
@@ -386,6 +390,17 @@ def validate(pdb: PDBSpace) -> list[Violation]:
     return out
 
 
+def require_valid(pdb: PDBSpace) -> None:
+    """Refuse a space that breaks an invariant, naming every violation as
+    ``[code] detail``: the masses of such a space mean nothing."""
+    violations = validate(pdb)
+    if violations:
+        raise InvalidSpaceError(
+            "invalid space: "
+            + "; ".join(f"[{v.code}] {v.detail}" for v in violations)
+        )
+
+
 def world_probability(pdb: PDBSpace, world: Iterable[str]) -> Probability:
     """Mass of one world: the stored mass for explicit spaces, the product of
     marginals (members) and co-marginals (non-members) for independent ones."""
@@ -430,8 +445,10 @@ def enumerate_worlds(
     Explicit spaces stream their stored support.  Independent spaces stream
     the supersets of the always-present tuples (exogenous ones and those
     with marginal 1), branching only on tuples with marginal strictly
-    between 0 and 1; the emitted masses sum to exactly 1.
+    between 0 and 1; the emitted masses sum to exactly 1.  An invalid
+    space is refused.
     """
+    require_valid(pdb)
     rep = pdb.representation
     if isinstance(rep, ExplicitWorlds):
         yield from rep.support()

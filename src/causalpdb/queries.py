@@ -745,24 +745,32 @@ def _record_assignments(
             chosen.pop()
 
 
-def minimal_satisfiable_sets(instance: InstanceStore, q: BooleanQuery) -> MssFamily:
-    """The minimal homomorphism images (as tuple-id sets) of a BCQ or a
-    union of BCQs into the instance."""
+def _homomorphism_images(
+    instance: InstanceStore, q: BooleanQuery
+) -> Iterator[frozenset[str]]:
+    """The tuple-id sets that homomorphisms of a BCQ, or of a union's
+    disjuncts, map the atoms onto, one per homomorphism (repeats
+    included).  The query holds on a world iff the world contains one."""
     if isinstance(q, BCQ):
         disjuncts: tuple[BCQ, ...] = (q,)
     elif isinstance(q, UBCQ):
         disjuncts = q.disjuncts
     else:
         raise InputError(
-            f"minimal satisfiable sets are defined for BCQs and unions, "
+            f"homomorphism images are defined for BCQs and unions, "
             f"not {type(q).__name__}"
         )
     by_pred: dict[str, list[TupleRecord]] = {}
     for rec in instance.records():
         by_pred.setdefault(rec.predicate, []).append(rec)
-    images: set[frozenset[str]] = set()
     for disjunct in disjuncts:
-        images.update(_record_assignments(disjunct.atoms, by_pred, {}, []))
+        yield from _record_assignments(disjunct.atoms, by_pred, {}, [])
+
+
+def minimal_satisfiable_sets(instance: InstanceStore, q: BooleanQuery) -> MssFamily:
+    """The minimal homomorphism images (as tuple-id sets) of a BCQ or a
+    union of BCQs into the instance."""
+    images = set(_homomorphism_images(instance, q))
     minimal: list[frozenset[str]] = []
     for image in sorted(images, key=len):
         if not any(kept <= image for kept in minimal):

@@ -14,6 +14,11 @@ Q(S + t) - Q(S) times a weight that depends only on the score.  Shapley
 weighs by |S| (2^N subsets beat N! permutations), Banzhaf and power weigh
 uniformly, weighted power by the mass p(S), and the causal effect's subset
 form by p(S) + p(S + t).
+
+The value table of a BCQ or a union comes from its lineage: over a fixed
+instance such a query is the DNF of its homomorphism images, so a subset
+satisfies it iff it holds an image's endogenous part.  Aggregates and the
+world-level forms are evaluated subset by subset.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .core import (
     enumerate_worlds,
     fraction_to_decimal,
     make_uniform_tid,
+    require_valid,
 )
 from .interventions import (
     Intervention,
@@ -43,9 +49,12 @@ from .interventions import (
     intervened_query_value,
 )
 from .queries import (
+    BCQ,
     SUM,
+    UBCQ,
     Aggregate,
     Query,
+    _homomorphism_images,
     _unify,
     evaluate,
     is_boolean,
@@ -109,9 +118,18 @@ class EndoWorlds:
         return self.endo_tids(mask) | self.instance.exogenous
 
     def value_table(self, q: Query) -> list:
-        """Q[W union D_ex] for every endogenous subset W.  Boolean forms are
-        monotone, so a mask whose strict submask already holds needs no
-        homomorphism search."""
+        """Q[W union D_ex] for every endogenous subset W.
+
+        A BCQ or union is the DNF of its homomorphism images: W satisfies
+        it iff W holds the endogenous part of some image, so the table is
+        the upward closure of those parts' masks.  With more images than
+        masks, and for the other forms, every subset is evaluated instead;
+        Boolean forms are monotone, so a mask whose strict submask already
+        holds needs no homomorphism search."""
+        if isinstance(q, (BCQ, UBCQ)):
+            table = self._lineage_table(q)
+            if table is not None:
+                return table
         table = [None] * self.size
         monotone = is_boolean(q)
         for mask in range(self.size):
@@ -123,10 +141,25 @@ class EndoWorlds:
             table[mask] = evaluate(q, self.instance, self.world(mask))
         return table
 
+    def _lineage_table(self, q: BCQ | UBCQ) -> list[int] | None:
+        table = [0] * self.size
+        images = _homomorphism_images(self.instance, q)
+        for count, image in enumerate(images, start=1):
+            if count > self.size:
+                return None
+            table[self.mask_of(image & self.instance.endogenous)] = 1
+        bits = [1 << i for i in range(len(self.order))]
+        for mask in range(self.size):  # increasing, so subsets come first
+            if table[mask]:
+                for bit in bits:
+                    table[mask | bit] = 1
+        return table
+
     def mass_table(self, pdb: PDBSpace) -> list[Fraction]:
         """p(W union D_ex) for every endogenous subset W."""
         if pdb.instance is not self.instance and pdb.instance.tids != self.instance.tids:
             raise InputError("space and subset table use different instances")
+        require_valid(pdb)
         rep = pdb.representation
         if isinstance(rep, ExplicitWorlds):
             table = [Fraction(0)] * self.size

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from causalpdb.cli import main
 
@@ -90,6 +94,21 @@ def test_invalid_spaces_are_refused_before_scoring(tmp_path, capsys):
             assert "[mass-total]" in err and f"sum to {total}, not 1" in err
         code, out, err = run(capsys, "intervene", "--pdb", bad, "--in", "t3")
         assert code == 1 and out == "" and "[mass-total]" in err
+
+
+def test_first_bad_tuple_id_does_not_depend_on_the_hash_seed():
+    import causalpdb
+
+    argv = [
+        sys.executable, "-m", "causalpdb.cli", "intervene",
+        "--pdb", str(FIXTURES / "nonhier_pdb.json"), "--in", "t3", "--out", "t1",
+    ]
+    src = str(Path(causalpdb.__file__).resolve().parent.parent)
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, ""), seed
+        assert done.stderr == "error: unknown tuple id 't1'\n", seed
 
 
 def test_brute_enumeration_of_thousands_of_sure_tuples(tmp_path, capsys):

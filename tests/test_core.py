@@ -26,7 +26,7 @@ from causalpdb import (
     validate,
     world_probability,
 )
-from causalpdb.core import fraction_to_decimal, fraction_to_wire
+from causalpdb.core import InvalidSpaceError, fraction_to_decimal, fraction_to_wire
 
 from helpers import FIXTURES, four_worlds_space
 
@@ -183,6 +183,30 @@ def test_duplicate_world_entries_merge():
     )
     assert validate(space) == []
     assert world_probability(space, {"t1"}) == 1
+
+
+def _four_worlds_with_first_mass(p):
+    doc = json.loads((FIXTURES / "four_worlds_pdb.json").read_text())
+    doc["worlds"][0]["p"] = p
+    return parse_pdb_document(doc).space
+
+
+def test_library_entry_points_refuse_invalid_spaces():
+    from causalpdb import query_probability, weighted_power
+
+    from helpers import path_query
+
+    light = _four_worlds_with_first_mass("0.10")  # masses sum to 9/10
+    heavy = _four_worlds_with_first_mass("1.0")  # masses sum to 9/5
+    q = path_query(light.instance.schema)
+    with pytest.raises(InvalidSpaceError, match=r"\[mass-total\] .* sum to 9/10"):
+        query_probability(light, q, "brute")
+    with pytest.raises(InvalidSpaceError, match=r"\[mass-total\] .* sum to 9/5"):
+        weighted_power(heavy, q, "t3")
+    inst = small_instance(2, ["endogenous", "exogenous"])
+    omits = PDBSpace(inst, ExplicitWorlds([({"t1"}, Fraction(1))]))
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-missing\]"):
+        list(enumerate_worlds(omits))
 
 
 # ---------------------------------------------------------------------------

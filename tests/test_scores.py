@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from causalpdb import (
+    ExplicitWorlds,
     InputError,
     InstanceStore,
     PDBSpace,
@@ -29,7 +30,9 @@ from causalpdb import (
     total_power,
     weighted_power,
 )
-from causalpdb.scores import _causal_effect
+from causalpdb import scores as scores_module
+from causalpdb.queries import evaluate
+from causalpdb.scores import EndoWorlds, _causal_effect
 
 from helpers import (
     CORPUS_SCHEMA,
@@ -168,7 +171,7 @@ def test_subset_form_equals_direct_definition():
 
 
 def test_scores_agree_across_representations():
-    from causalpdb import ExplicitWorlds, enumerate_worlds
+    from causalpdb import enumerate_worlds
 
     rng = random.Random(1089)
     for _ in range(8):
@@ -351,8 +354,6 @@ def test_weighted_power_single_atom_distribution():
         TupleRecord("t2", "S", ("b",), "endogenous"),
     ]
     inst = InstanceStore(schema, recs)
-    from causalpdb import ExplicitWorlds
-
     space = PDBSpace(inst, ExplicitWorlds([({"t2"}, Fraction(1))]))
     q = parse_query("Q() :- R(a)", schema)
     assert weighted_power(space, q, "t1") == 1
@@ -437,32 +438,98 @@ def test_score_all_input_order_invariance():
         assert again.values() == base.values()
 
 
-SUBSET_ORACLES = {
+SCORE_ORACLES = {
     ScoreKind.SHAPLEY: lambda space, q, tid: oracle_shapley(space.instance, q, tid),
     ScoreKind.BANZHAF: lambda space, q, tid: oracle_banzhaf(space.instance, q, tid),
     ScoreKind.POWER_TUPLE: lambda space, q, tid: oracle_power_of_tuple(
         space.instance, q, tid
     ),
     ScoreKind.WEIGHTED_POWER: oracle_weighted_power,
+    ScoreKind.GCES: oracle_causal_effect,
+    ScoreKind.CES_TID: oracle_causal_effect,
+    ScoreKind.CES_UI: lambda space, q, tid: oracle_causal_effect(
+        make_uniform_tid(space.instance), q, tid
+    ),
 }
 
 
-@pytest.mark.parametrize("kind", list(SUBSET_ORACLES), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", list(SCORE_ORACLES), ids=lambda k: k.value)
 def test_score_all_matches_oracles(kind):
     # Every third query counts a cross product: adding one P tuple adds an
     # assignment per T tuple, so swings exceed 1, and the value table takes
-    # the non-monotone path.
+    # the non-monotone path.  The Boolean draws (unions, self-joins,
+    # non-hierarchical bodies, explicit spaces) are mostly outside the
+    # lifted class, so their causal effects come from the world sums.
     cross = parse_query("Q(count()) :- P(X), T(Y)", CORPUS_SCHEMA)
     rng = random.Random(767)
     for i in range(12):
         inst = random_instance(rng, max_endogenous=5, min_endogenous=3)
-        space = random_explicit_space(rng, inst) if i % 2 else random_tid_space(rng, inst)
+        explicit = i % 2 and kind is not ScoreKind.CES_TID
+        space = random_explicit_space(rng, inst) if explicit else random_tid_space(rng, inst)
         q = cross if i % 3 == 0 else random_boolean_query(rng)
         report = score_all(space, q, kind)
-        expected = {t: SUBSET_ORACLES[kind](space, q, t) for t in inst.endogenous_order}
+        expected = {t: SCORE_ORACLES[kind](space, q, t) for t in inst.endogenous_order}
         assert report.values() == expected
+        if kind is ScoreKind.CES_UI:
+            assert [e.positive_ceui for e in report.entries] == [
+                expected[t] > 0 for t in inst.endogenous_order
+            ]
         if kind is ScoreKind.POWER_TUPLE:
             assert total_power(space, q) == sum(expected.values())
+
+
+def _evaluated_table(worlds, q):
+    return [evaluate(q, worlds.instance, worlds.world(m)) for m in range(worlds.size)]
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(scores_module, "evaluate", counting)
+    return calls
+
+
+def test_value_table_matches_evaluation_on_random_corpus(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    rng = random.Random(4242)
+    for _ in range(40):
+        inst = random_instance(rng, max_endogenous=6, n_exogenous=2)
+        q = random_boolean_query(rng)
+        worlds = EndoWorlds(inst)
+        assert worlds.value_table(q) == _evaluated_table(worlds, q)
+    assert calls == []  # every table came from the images
+
+
+def test_value_table_constant_queries(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    inst = power_p_space().instance  # t1 = R(a,b) is the only exogenous tuple
+    worlds = EndoWorlds(inst)
+    sure = parse_query("Q() :- R(a,X)", inst.schema)
+    never = parse_query("Q() :- R(X,X)", inst.schema)
+    assert worlds.value_table(sure) == _evaluated_table(worlds, sure) == [1] * 8
+    assert worlds.value_table(never) == _evaluated_table(worlds, never) == [0] * 8
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_exo, evaluations", [(2, 0), (3, 2)])
+def test_value_table_falls_back_past_one_image_per_mask(n_exo, evaluations, monkeypatch):
+    # One image per exogenous E tuple against two masks: two images still
+    # compile, the third sends both masks to evaluation.
+    calls = _count_evaluations(monkeypatch)
+    schema = {"R": RelationSchema("R", 1), "E": RelationSchema("E", 2)}
+    recs = [TupleRecord("r", "R", ("a",), "endogenous")] + [
+        TupleRecord(f"e{i}", "E", (f"a{i}", "b"), "exogenous") for i in range(n_exo)
+    ]
+    inst = InstanceStore(schema, recs)
+    q = parse_query("Q() :- R(a), E(X,b)", schema)
+    worlds = EndoWorlds(inst)
+    assert worlds.value_table(q) == [0, 1]
+    assert len(calls) == evaluations
+    assert _evaluated_table(worlds, q) == [0, 1]
 
 
 def test_report_serialization():
