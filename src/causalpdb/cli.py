@@ -9,6 +9,7 @@ input error (missing or malformed files, bad identifiers, bad flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,10 @@ def cmd_oracle_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    `main` call in the process; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="causalpdb",
         description="Exact causal-attribution scores over probabilistic databases",

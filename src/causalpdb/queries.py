@@ -40,6 +40,7 @@ from .core import (
     TupleRecord,
     constant_repr,
     enumerate_worlds,
+    require_valid,
 )
 
 SUM = "sum"
@@ -590,7 +591,8 @@ def query_probability(
 
     ``brute`` sums masses over the enumerated worlds; ``lifted`` runs the
     safe-plan recursion and requires a self-join-free hierarchical BCQ on a
-    tuple-independent space; ``auto`` picks lifted when eligible.
+    tuple-independent space; ``auto`` picks lifted when eligible.  Both
+    refuse an invalid space (`InvalidSpaceError`).
     """
     if isinstance(q, Aggregate):
         raise InputError("aggregate queries have expectations, not probabilities")
@@ -605,6 +607,7 @@ def query_probability(
             if evaluate(q, pdb.instance, world):
                 total += mass
         return Probability(total)
+    require_valid(pdb)
     return Probability(_lifted(pdb, q))
 
 

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from causalpdb.cli import main
+import pytest
+
+from causalpdb.cli import build_parser, main
 
 from helpers import FIXTURES
 
@@ -370,3 +372,79 @@ def test_score_without_distribution_when_needed(capsys):
     )
     assert code == 2
     assert "distribution" in err
+
+
+# One request per command on the fixtures; every one is run in both formats.
+COMMANDS = {
+    "validate": ["--pdb", FIXTURES / "four_worlds_pdb.json"],
+    "prob": [
+        "--pdb", FIXTURES / "two_component_tid.json",
+        "--query", FIXTURES / "two_component_query.q",
+    ],
+    "score": [
+        "--kind", "ces-ui", "--pdb", FIXTURES / "paths_instance.json",
+        "--query", FIXTURES / "path_query.q",
+    ],
+    "rank": [
+        "--kind", "gces", "--pdb", FIXTURES / "power_pprime.json",
+        "--query", FIXTURES / "power_query.q",
+    ],
+    "intervene": ["--pdb", FIXTURES / "four_worlds_pdb.json", "--in", "t3"],
+    "dichotomy": [
+        "--pdb", FIXTURES / "nonhier_pdb.json",
+        "--query", FIXTURES / "nonhier_query.q",
+    ],
+    "axioms": [
+        "--pdb", FIXTURES / "power_pprime.json",
+        "--query", FIXTURES / "power_query.q",
+        "--query2", FIXTURES / "power_query2.q",
+    ],
+    "oracle-compare": [
+        "--pdb", FIXTURES / "four_worlds_pdb.json",
+        "--query", FIXTURES / "path_query.q", "--tuple", "t3",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_repeated_calls_in_one_process_agree(capsys, command):
+    for fmt in ("table", "json"):
+        argv = [command, "--format", fmt, *COMMANDS[command]]
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run(capsys, *argv) == first
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_append_flags_do_not_leak_between_calls(capsys):
+    four = FIXTURES / "four_worlds_pdb.json"
+    code, out, _ = run(capsys, "intervene", "--pdb", four, "--in", "t3")
+    assert code == 0 and out.startswith("intervention: do(t3 in)\n")
+    code, out, _ = run(capsys, "intervene", "--pdb", four, "--out", "t3")
+    assert code == 0 and out.startswith("intervention: do(t3 out)\n")
+    args = build_parser().parse_args(["intervene", "--pdb", str(four), "--out", "t3"])
+    assert args.force_in is None and args.force_out == ["t3"]
+
+
+def test_argparse_failure_leaves_the_next_call_unchanged(capsys):
+    argv = ["validate", "--pdb", FIXTURES / "four_worlds_pdb.json"]
+    alone = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--pdb", str(FIXTURES / "four_worlds_pdb.json"), "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(capsys, *argv) == alone
+
+
+def test_help_is_identical_on_repeated_calls(capsys):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("usage: causalpdb")

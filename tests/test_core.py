@@ -209,6 +209,23 @@ def test_library_entry_points_refuse_invalid_spaces():
         list(enumerate_worlds(omits))
 
 
+def test_lifted_backend_refuses_invalid_spaces():
+    from causalpdb import causal_effect, parse_query, query_probability
+
+    schema = {"R": RelationSchema("R", 1), "S": RelationSchema("S", 2)}
+    inst = InstanceStore(schema, [
+        TupleRecord("r", "R", ("a",), "exogenous"),
+        TupleRecord("s", "S", ("a", "b"), "endogenous"),
+    ])
+    half = Fraction(1, 2)
+    space = PDBSpace(inst, TupleIndependent({"r": half, "s": half}))
+    q = parse_query("Q() :- R(X), S(X,Y)", schema)
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'r'"):
+        query_probability(space, q, "lifted")
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'r'"):
+        causal_effect(space, q, "s")
+
+
 # ---------------------------------------------------------------------------
 # World and tuple probabilities
 # ---------------------------------------------------------------------------
