@@ -12,6 +12,7 @@ and marginals are ``fractions.Fraction`` values parsed from decimal or
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -71,10 +72,19 @@ class Probability(Fraction):
                 f"probability must be a decimal or num/den string, got {text!r}"
             )
         try:
-            value = Fraction(text)
+            value = _parse_fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
         return cls(value)
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """A rational from a decimal or ``num/den`` string.  Exponent notation
+    is refused before `Fraction` expands it: ``"1e-999999999"`` would
+    become a billion-digit denominator."""
+    if re.search(r"[0-9.][eE]", text):
+        raise ValueError("exponent notation is not supported")
+    return Fraction(text)
 
 
 def parse_constant(value, tag: str | None = None) -> Constant:
@@ -93,7 +103,7 @@ def parse_constant(value, tag: str | None = None) -> Constant:
     if isinstance(value, str):
         if tag == NUMERIC:
             try:
-                return Fraction(value)
+                return _parse_fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(
                     f"value {value!r} in a numeric position is not a number"
@@ -574,6 +584,11 @@ def parse_pdb_document(doc) -> PdbDocument:
         missing = sorted({"tid", "predicate", "args", "kind"} - set(entry))
         if missing:
             raise InputError(f"tuple entry {entry!r} misses {missing}")
+        if not isinstance(entry["predicate"], str):
+            raise InputError(
+                f"tuple {entry['tid']!r}: predicate must be a string, "
+                f"got {entry['predicate']!r}"
+            )
         decl = schema.get(entry["predicate"])
         tags = decl.tags if decl is not None else None
         args = entry["args"]
@@ -598,7 +613,7 @@ def parse_pdb_document(doc) -> PdbDocument:
             raise InputError("'worlds' must be a list")
         entries = []
         for w in worlds_obj:
-            if not isinstance(w, dict) or "tids" not in w or "p" not in w:
+            if not (isinstance(w, dict) and isinstance(w.get("tids"), list) and "p" in w):
                 raise InputError(f"bad world entry {w!r}")
             entries.append((list(map(str, w["tids"])), Probability.from_wire(w["p"])))
         space = PDBSpace(instance, ExplicitWorlds(entries))
@@ -615,7 +630,9 @@ def load_pdb_file(path) -> PdbDocument:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad JSON or UTF-8, or an int past 4300 digits;
+        # RecursionError: arrays or objects nested too deep to decode.
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
     return parse_pdb_document(doc)
 

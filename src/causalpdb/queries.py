@@ -4,11 +4,14 @@ evaluation, structural analysis, and exact query probability.
 Supported query classes: Boolean conjunctive queries, unions of them, and
 scalar SUM/COUNT aggregates over a conjunctive body.  Query probability is
 computed either by brute-force world enumeration or, for self-join-free
-hierarchical BCQs on tuple-independent spaces, by lifted inference: split
-the query into variable-connected components (independent, probabilities
-multiply), read ground atoms off the marginals, and otherwise ground a root
-variable that occurs in every atom of its component, combining groundings
-as independent disjuncts.
+hierarchical BCQs on tuple-independent spaces, by lifted inference.  The
+lifted recursion carries a binding of variables to constants and never
+rewrites the atoms: it splits the atoms into components connected by
+unbound variables (independent, probabilities multiply), reads an atom
+whose variables are all bound off the per-fact probabilities, and
+otherwise binds a root variable that occurs in every atom of its
+component to each value the facts offer, combining those groundings as
+independent disjuncts.
 
 Query grammar, one rule per line (``;`` also separates rules, ``#`` starts
 a comment)::
@@ -27,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .core import (
@@ -85,7 +89,7 @@ class Atom:
     predicate: str
     terms: tuple[Term, ...]
 
-    @property
+    @cached_property
     def variables(self) -> frozenset[str]:
         return frozenset(t.name for t in self.terms if isinstance(t, Var))
 
@@ -284,9 +288,14 @@ class _RuleParser:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a term")
-        self.pos += 1
         if tok.kind == "number":
-            return Fraction(tok.text)
+            try:
+                value = Fraction(tok.text)
+            except ValueError as exc:  # past the 4300-digit int limit
+                raise self.error(f"cannot read number: {exc}") from None
+            self.pos += 1
+            return value
+        self.pos += 1
         if tok.kind == "string":
             return tok.text[1:-1]
         if tok.kind == "ident":
@@ -349,7 +358,11 @@ def parse_query(
 
 def load_query_file(path, schema=None) -> Query:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_query(handle.read(), schema)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_query(text, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +406,6 @@ def _unify(atom: Atom, args: tuple[Constant, ...], binding: dict) -> dict | None
 _UNSET = object()
 
 
-def _satisfied(atoms: tuple[Atom, ...], index: FactIndex, binding: dict) -> bool:
-    if not atoms:
-        return True
-    atom, rest = atoms[0], atoms[1:]
-    for args in index.get(atom.predicate, ()):
-        merged = _unify(atom, args, binding)
-        if merged is not None and _satisfied(rest, index, merged):
-            return True
-    return False
-
-
 def _assignments(
     atoms: tuple[Atom, ...], index: FactIndex, binding: dict
 ) -> Iterator[dict]:
@@ -421,15 +423,12 @@ def eval_boolean(q: BooleanQuery, facts: Iterable[tuple[str, tuple]]) -> int:
     """1 iff some homomorphism maps the query (one disjunct, for unions)
     into the given fact set."""
     index = fact_index(facts)
-    return _eval_boolean_indexed(q, index)
-
-
-def _eval_boolean_indexed(q: BooleanQuery, index: FactIndex) -> int:
-    if isinstance(q, BCQ):
-        return int(_satisfied(q.atoms, index, {}))
-    if isinstance(q, UBCQ):
-        return int(any(_satisfied(d.atoms, index, {}) for d in q.disjuncts))
-    raise InputError(f"cannot evaluate {type(q).__name__} on bare facts")
+    if not isinstance(q, (BCQ, UBCQ)):
+        raise InputError(f"cannot evaluate {type(q).__name__} on bare facts")
+    for disjunct in q.disjuncts if isinstance(q, UBCQ) else (q,):
+        for _ in _assignments(disjunct.atoms, index, {}):
+            return 1
+    return 0
 
 
 def distinct_assignments(
@@ -529,34 +528,27 @@ class ComponentPartition:
         return len(self.groups)
 
 
-def components(q: BCQ) -> ComponentPartition:
-    n = len(q.atoms)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var: dict[str, int] = {}
-    for i, atom in enumerate(q.atoms):
-        for v in atom.variables:
-            if v in by_var:
-                ri, rj = find(i), find(by_var[v])
-                if ri != rj:
-                    parent[ri] = rj
-            else:
-                by_var[v] = i
-    grouped: dict[int, list[int]] = {}
-    for i in range(n):
-        grouped.setdefault(find(i), []).append(i)
-    groups = tuple(
-        tuple(members) for _, members in sorted(
-            grouped.items(), key=lambda item: min(item[1])
-        )
+def _atom_groups(
+    atoms: tuple[Atom, ...], bound=frozenset()
+) -> tuple[tuple[int, ...], ...]:
+    """Indices of the atoms in each variable-connected component, where
+    only variables outside `bound` connect atoms; components in
+    first-occurrence order, atoms without such a variable alone."""
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, atom in enumerate(atoms):
+        free, members = set(atom.variables - bound), [i]
+        for group in [g for g in groups if g[0] & free]:
+            groups.remove(group)
+            free |= group[0]
+            members += group[1]
+        groups.append((free, members))
+    return tuple(
+        tuple(sorted(members)) for _, members in sorted(groups, key=lambda g: min(g[1]))
     )
-    return ComponentPartition(q.atoms, groups)
+
+
+def components(q: BCQ) -> ComponentPartition:
+    return ComponentPartition(q.atoms, _atom_groups(q.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +599,6 @@ def query_probability(
             if evaluate(q, pdb.instance, world):
                 total += mass
         return Probability(total)
-    require_valid(pdb)
     return Probability(_lifted(pdb, q))
 
 
@@ -622,93 +613,59 @@ def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fract
 
 
 def _fact_probabilities(pdb: PDBSpace) -> dict[str, dict[tuple, Fraction]]:
+    """Per predicate, the probability of each distinct fact: one minus the
+    product of the co-marginals of the tuples carrying it.  An invalid
+    space is refused."""
+    require_valid(pdb)
     rep = pdb.representation
     assert isinstance(rep, TupleIndependent)
     absent: dict[str, dict[tuple, Fraction]] = {}
     for rec in pdb.instance.records():
-        marginal = rep.marginals.get(rec.tid)
-        if marginal is None:
-            raise InputError(f"tuple {rec.tid!r} has no marginal")
         per_pred = absent.setdefault(rec.predicate, {})
-        per_pred[rec.args] = per_pred.get(rec.args, Fraction(1)) * (1 - marginal)
+        per_pred[rec.args] = per_pred.get(rec.args, Fraction(1)) * (
+            1 - rep.marginals[rec.tid]
+        )
     return {
         pred: {args: 1 - q for args, q in entries.items()}
         for pred, entries in absent.items()
     }
 
 
-def _substitute(atoms: tuple[Atom, ...], var: str, value: Constant) -> tuple[Atom, ...]:
-    out = []
-    for atom in atoms:
-        terms = tuple(
-            value if isinstance(t, Var) and t.name == var else t for t in atom.terms
-        )
-        out.append(Atom(atom.predicate, terms))
-    return tuple(out)
-
-
-def _root_candidates(
-    atom: Atom, var: str, facts: dict[tuple, Fraction]
-) -> set[Constant]:
-    found: set[Constant] = set()
-    for args in facts:
-        value = None
-        ok = True
-        for term, arg in zip(atom.terms, args):
-            if isinstance(term, Var):
-                if term.name == var:
-                    if value is None:
-                        value = arg
-                    elif value != arg:
-                        ok = False
-                        break
-            elif term != arg:
-                ok = False
-                break
-        if ok and value is not None:
-            found.add(value)
-    return found
-
-
 def _lifted(pdb: PDBSpace, q: BCQ) -> Fraction:
     fact_probs = _fact_probabilities(pdb)
 
-    def prob(atoms: tuple[Atom, ...]) -> Fraction:
-        if not atoms:
-            return Fraction(1)
-        parts = components(BCQ(atoms)).atom_groups()
-        if len(parts) > 1:
+    def prob(atoms: tuple[Atom, ...], binding: dict) -> Fraction:
+        groups = _atom_groups(atoms, binding.keys())
+        if len(groups) != 1:
             result = Fraction(1)
-            for group in parts:
-                result *= prob(group)
+            for group in groups:
+                result *= prob(tuple(atoms[i] for i in group), binding)
             return result
-        if len(atoms) == 1 and not atoms[0].variables:
-            return fact_probs.get(atoms[0].predicate, {}).get(
-                atoms[0].terms, Fraction(0)
+        free = [atom.variables - binding.keys() for atom in atoms]
+        if not free[0]:
+            (atom,) = atoms
+            args = tuple(
+                binding[t.name] if isinstance(t, Var) else t for t in atom.terms
             )
-        coverage: dict[str, int] = {}
-        for atom in atoms:
-            for v in atom.variables:
-                coverage[v] = coverage.get(v, 0) + 1
-        roots = sorted(v for v, c in coverage.items() if c == len(atoms))
+            return fact_probs.get(atom.predicate, {}).get(args, Fraction(0))
+        roots = sorted(free[0].intersection(*free[1:]))
         if not roots:
             raise DichotomyError(
                 "no variable occurs in every atom of a connected component; "
                 "the component is non-hierarchical"
             )
         root = roots[0]
-        candidates: set[Constant] | None = None
-        for atom in atoms:
-            here = _root_candidates(
-                atom, root, fact_probs.get(atom.predicate, {})
-            )
-            candidates = here if candidates is None else candidates & here
+        candidates = set.intersection(*(
+            {match[root] for args in fact_probs.get(atom.predicate, ())
+             if (match := _unify(atom, args, binding)) is not None}
+            for atom in atoms
+        ))
         miss = Fraction(1)
-        for value in sorted(candidates, key=lambda c: (isinstance(c, str), str(c))):
-            miss *= 1 - prob(_substitute(atoms, root, value))
+        for value in candidates:
+            miss *= 1 - prob(atoms, {**binding, root: value})
         return 1 - miss
 
-    return prob(q.atoms)
+    return prob(q.atoms, {})
 
 
 # ---------------------------------------------------------------------------

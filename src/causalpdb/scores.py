@@ -54,6 +54,7 @@ from .queries import (
     UBCQ,
     Aggregate,
     Query,
+    _fact_probabilities,
     _homomorphism_images,
     _unify,
     evaluate,
@@ -256,20 +257,9 @@ def delta(
 def _closed_form_sum(pdb: PDBSpace, q: Aggregate) -> Fraction:
     """E(sum) for a single-atom body on an independent space: each matching
     fact contributes its target value times its presence probability."""
-    rep = pdb.representation
-    assert isinstance(rep, TupleIndependent)
     atom = q.atoms[0]
-    absent: dict[tuple, Fraction] = {}
-    for rec in pdb.instance.records():
-        if rec.predicate != atom.predicate:
-            continue
-        marginal = rep.marginals.get(rec.tid)
-        if marginal is None:
-            raise InputError(f"tuple {rec.tid!r} has no marginal")
-        absent.setdefault(rec.args, Fraction(1))
-        absent[rec.args] *= 1 - marginal
     total = Fraction(0)
-    for args, miss in absent.items():
+    for args, p in _fact_probabilities(pdb).get(atom.predicate, {}).items():
         binding = _unify(atom, args, {})
         if binding is None:
             continue
@@ -278,7 +268,7 @@ def _closed_form_sum(pdb: PDBSpace, q: Aggregate) -> Fraction:
             raise InputError(
                 f"non-numeric value {value!r} at aggregation target {q.target}"
             )
-        total += value * (1 - miss)
+        total += value * p
     return total
 
 

@@ -304,6 +304,62 @@ def test_oracle_compare_needs_tuple(capsys):
     assert "--tuple" in err
 
 
+def _prob_on(tmp_path, capsys, pdb_text, query_text="Q() :- R(X)\n"):
+    pdb = tmp_path / "doc.json"
+    pdb.write_text(pdb_text)
+    query = tmp_path / "q.q"
+    query.write_text(query_text)
+    return run(capsys, "prob", "--pdb", pdb, "--query", query)
+
+
+def _one_tuple_doc(predicate='"R"', arg='"a"'):
+    return (
+        '{"schema": {"R": 1}, "tuples": [{"tid": "t1", "predicate": %s, '
+        '"args": [%s], "kind": "endogenous"}], "marginals": {"t1": "1/2"}}'
+        % (predicate, arg)
+    )
+
+
+def test_list_predicate_is_input_error(tmp_path, capsys):
+    code, out, err = _prob_on(tmp_path, capsys, _one_tuple_doc(predicate='["R"]'))
+    assert (code, out) == (2, "")
+    assert err == "error: tuple 't1': predicate must be a string, got ['R']\n"
+
+
+def test_json_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    code, out, err = _prob_on(tmp_path, capsys, _one_tuple_doc(arg="1" * 5000))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path / 'doc.json'}: invalid JSON (")
+    assert "4300 digits" in err
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    code, out, err = _prob_on(tmp_path, capsys, "[" * 100000 + "]" * 100000)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path / 'doc.json'}: invalid JSON (maximum recursion")
+
+
+def test_query_literal_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    code, out, err = _prob_on(
+        tmp_path, capsys, _one_tuple_doc(), "Q() :- R(%s)\n" % ("1" * 5000)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1, column 10: cannot read number")
+    assert "4300 digits" in err
+
+
+def test_files_that_are_not_utf8_are_input_errors(tmp_path, capsys):
+    bad = b'Q() :- R(\xff)\n'
+    (tmp_path / "doc.json").write_bytes(_one_tuple_doc().encode() + bad)
+    (tmp_path / "q.q").write_bytes(bad)
+    code, out, err = run(
+        capsys, "prob", "--pdb", tmp_path / "doc.json", "--query", FIXTURES / "path_query.q"
+    )
+    assert (code, out) == (2, "") and "invalid JSON ('utf-8' codec" in err
+    code, out, err = run(capsys, "dichotomy", "--query", tmp_path / "q.q")
+    assert (code, out) == (2, "") and "not UTF-8 text ('utf-8' codec" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(
         capsys, "validate", "--pdb", FIXTURES / "does_not_exist.json"

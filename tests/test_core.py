@@ -26,7 +26,13 @@ from causalpdb import (
     validate,
     world_probability,
 )
-from causalpdb.core import InvalidSpaceError, fraction_to_decimal, fraction_to_wire
+from causalpdb.core import (
+    NUMERIC,
+    InvalidSpaceError,
+    fraction_to_decimal,
+    fraction_to_wire,
+    parse_constant,
+)
 
 from helpers import FIXTURES, four_worlds_space
 
@@ -57,6 +63,14 @@ def test_probability_parses_rational_strings():
 def test_probability_rejects_bad_strings(bad):
     with pytest.raises(InputError):
         Probability.from_wire(bad)
+
+
+@pytest.mark.parametrize("text", ["1e-3", "2E5", "1e-3000000"])
+def test_exponent_notation_is_refused(text):
+    with pytest.raises(InputError, match="exponent notation"):
+        Probability.from_wire(text)
+    with pytest.raises(InputError, match="numeric position"):
+        parse_constant(text, NUMERIC)
 
 
 def test_probability_rejects_floats():
@@ -224,6 +238,23 @@ def test_lifted_backend_refuses_invalid_spaces():
         query_probability(space, q, "lifted")
     with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'r'"):
         causal_effect(space, q, "s")
+
+
+def test_closed_form_sum_refuses_invalid_spaces():
+    from causalpdb import causal_effect, gces_oracle, parse_query
+
+    schema = {"S": RelationSchema("S", 2)}
+    inst = InstanceStore(schema, [
+        TupleRecord("t1", "S", ("a", 3), "endogenous"),
+        TupleRecord("t2", "S", ("a", 3), "exogenous"),
+    ])
+    half = Fraction(1, 2)
+    space = PDBSpace(inst, TupleIndependent({"t1": half, "t2": half}))
+    q = parse_query("Q(sum(Y)) :- S(X,Y)", schema)
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'t2'"):
+        gces_oracle(space, q, "t1")
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'t2'"):
+        causal_effect(space, q, "t1")
 
 
 # ---------------------------------------------------------------------------

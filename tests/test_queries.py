@@ -393,6 +393,74 @@ def test_lifted_rejects_non_hierarchical():
         query_probability(space, q, "lifted")
 
 
+# Queries whose groundings bind a repeated variable, meet a constant, or
+# bind two levels deep, over facts that match an atom only in part (and a
+# duplicate fact); the last tuple is exogenous.
+BINDING_CASES = {
+    "repeated-variable": ("Q() :- R(X), S(X,Y,Y)", [
+        ("R", ("a",)), ("R", ("b",)), ("S", ("a", "b", "b")),
+        ("S", ("a", "b", "c")), ("S", ("a", "b", "b")), ("S", ("b", "c", "c")),
+    ]),
+    "constant": ("Q() :- R(X), S(X,a)", [
+        ("R", ("a",)), ("R", ("b",)), ("S", ("a", "a")), ("S", ("a", "b")),
+        ("S", ("b", "c")), ("S", ("b", "a")),
+    ]),
+    "three-level": ("Q() :- R(X), S(X,Y), U(X,Y,Z)", [
+        ("R", ("a",)), ("R", ("b",)), ("S", ("a", "b")), ("S", ("a", "c")),
+        ("S", ("b", "b")), ("U", ("a", "b", "c")), ("U", ("a", "b", "d")),
+        ("U", ("b", "b", "a")),
+    ]),
+}
+
+
+def _binding_case(name):
+    text, facts = BINDING_CASES[name]
+    schema = {p: RelationSchema(p, len(args)) for p, args in facts}
+    last = len(facts) - 1
+    inst = InstanceStore(schema, [
+        TupleRecord(f"t{i}", p, args, "exogenous" if i == last else "endogenous")
+        for i, (p, args) in enumerate(facts)
+    ])
+    shares = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 5)]
+    marginals = {
+        f"t{i}": Fraction(1) if i == last else shares[i % len(shares)]
+        for i in range(len(facts))
+    }
+    return PDBSpace(inst, TupleIndependent(marginals)), parse_query(text, schema)
+
+
+@pytest.mark.parametrize("name", sorted(BINDING_CASES))
+def test_lifted_binding_recursion_matches_oracles(name):
+    from causalpdb import score_all
+
+    from helpers import oracle_causal_effect
+
+    space, q = _binding_case(name)
+    lifted = query_probability(space, q, "lifted")
+    assert lifted == query_probability(space, q, "brute")
+    assert lifted == oracle_query_probability(space, q)
+    report = score_all(space, q, "ces-tid")
+    assert {e.backend for e in report.entries} == {"lifted"}
+    assert report.values() == {
+        t: oracle_causal_effect(space, q, t) for t in space.instance.endogenous_order
+    }
+
+
+def test_lifted_plan_refuses_a_component_without_a_root():
+    from causalpdb.queries import _lifted
+
+    schema = {"R": RelationSchema("R", 1), "S": RelationSchema("S", 2),
+              "T": RelationSchema("T", 1)}
+    inst = InstanceStore(schema, [
+        TupleRecord("t1", "R", ("a",), "endogenous"),
+        TupleRecord("t2", "S", ("a", "b"), "endogenous"),
+        TupleRecord("t3", "T", ("b",), "endogenous"),
+    ])
+    q = parse_query("Q() :- R(X), S(X,Y), T(Y)", schema)
+    with pytest.raises(DichotomyError, match="non-hierarchical"):
+        _lifted(make_uniform_tid(inst), q)
+
+
 def test_lifted_rejects_unions_self_joins_and_explicit_spaces():
     inst = paths_instance()
     q = path_query(inst.schema)
