@@ -60,6 +60,21 @@ def _frac_json(value) -> dict:
     }
 
 
+def _require_printable(*values) -> None:
+    """Refuse a result whose numerator or denominator has more digits than
+    Python converts to text (`sys.get_int_max_str_digits`, 0 = no limit)."""
+    limit = sys.get_int_max_str_digits()
+    for value in values if limit else ():
+        for part in (abs(value.numerator), value.denominator):
+            # Below 2**(3*limit) < 10**limit a part has at most `limit` digits.
+            if part.bit_length() > 3 * limit and part >= 10 ** limit:
+                raise ResourceLimitError(
+                    f"cannot print the result: its numerator or denominator has "
+                    f"more than {limit} digits, Python's limit for converting "
+                    f"an integer to text"
+                )
+
+
 def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -158,6 +173,7 @@ def cmd_prob(args) -> int:
     if backend in ("auto", "lifted"):
         resolved = "lifted" if not lifted_rejections(doc.space, q) else "brute"
     value = query_probability(doc.space, q, backend, cap)
+    _require_printable(value)
     if args.format == "json":
         payload = {"probability": _frac_json(value), "backend": resolved}
         _emit_json(payload)
@@ -188,6 +204,7 @@ def cmd_score(args, by_rank: bool = False) -> int:
             f"score kind {kind.value!r} needs a distribution in the document"
         )
     report = score_all(source, q, kind, cap)
+    _require_printable(*report.values().values())
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
@@ -303,6 +320,7 @@ def cmd_oracle_compare(args) -> int:
     if not targets:
         raise InputError("oracle-compare needs at least one --tuple")
     report = gces_oracle(doc.space, q, targets, cap)
+    _require_printable(report.materialized, report.direct, report.subset_form or 0)
     if args.format == "json":
         payload = {
             "targets": list(report.targets),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -116,6 +117,15 @@ def constant_repr(value: Constant) -> str:
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else str(value)
     return value
+
+
+def _quoted(value: Constant) -> str:
+    """A constant quoted for a message; a number with more digits than
+    Python converts to text is described instead."""
+    try:
+        return repr(constant_repr(value))
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
 
 def fraction_to_wire(value: Fraction) -> str:
@@ -231,7 +241,7 @@ class InstanceStore:
                     if tag == SYMBOLIC and not isinstance(arg, str):
                         raise InputError(
                             f"tuple {rec.tid!r}: position {pos} of {rec.predicate!r} "
-                            f"must be symbolic, got {constant_repr(arg)!r}"
+                            f"must be symbolic, got {_quoted(arg)}"
                         )
                 rec = TupleRecord(rec.tid, rec.predicate, args, rec.kind)
             self._by_tid[rec.tid] = rec

@@ -599,7 +599,7 @@ def query_probability(
             if evaluate(q, pdb.instance, world):
                 total += mass
         return Probability(total)
-    return Probability(_lifted(pdb, q))
+    return Probability(_lifted(_fact_probabilities(pdb), q))
 
 
 def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fraction:
@@ -612,7 +612,10 @@ def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fract
     return total
 
 
-def _fact_probabilities(pdb: PDBSpace) -> dict[str, dict[tuple, Fraction]]:
+FactMap = dict[str, dict[tuple, Fraction]]  # predicate -> args -> P(fact)
+
+
+def _fact_probabilities(pdb: PDBSpace) -> FactMap:
     """Per predicate, the probability of each distinct fact: one minus the
     product of the co-marginals of the tuples carrying it.  An invalid
     space is refused."""
@@ -631,8 +634,9 @@ def _fact_probabilities(pdb: PDBSpace) -> dict[str, dict[tuple, Fraction]]:
     }
 
 
-def _lifted(pdb: PDBSpace, q: BCQ) -> Fraction:
-    fact_probs = _fact_probabilities(pdb)
+def _lifted(fact_probs: FactMap, q: BCQ) -> Fraction:
+    """P(q) for a self-join-free hierarchical BCQ, read off a per-fact
+    probability map (`_fact_probabilities`)."""
 
     def prob(atoms: tuple[Atom, ...], binding: dict) -> Fraction:
         groups = _atom_groups(atoms, binding.keys())

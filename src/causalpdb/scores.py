@@ -4,9 +4,13 @@ Shapley and Banzhaf values, and the swing-counting power functions.
 
 Every score is exact.  The causal effect of a target set is the difference
 of the query's expectations under the do(T in) and do(T out) distributions;
-for Boolean queries these are intervened probabilities.  On
-tuple-independent spaces with self-join-free hierarchical BCQs the two
-probabilities come from the lifted evaluator, otherwise from world sums.
+for Boolean queries these are intervened probabilities.  On a
+tuple-independent space an intervention changes only the probabilities of
+the targets' facts, so self-join-free hierarchical BCQs (the lifted
+evaluator) and single-atom sums (a closed form) read one validated per-fact
+map with those facts forced, and no intervened space is built; `score_all`
+builds that map once for all its tuples.  Every other case sums over
+worlds.
 
 Every subset score is one weighted swing sum over one value table
 (`swing_sum`): the sum, over the endogenous subsets S without tuple t, of
@@ -53,9 +57,11 @@ from .queries import (
     SUM,
     UBCQ,
     Aggregate,
+    FactMap,
     Query,
     _fact_probabilities,
     _homomorphism_images,
+    _lifted,
     _unify,
     evaluate,
     is_boolean,
@@ -254,12 +260,13 @@ def delta(
 # Causal effect
 # ---------------------------------------------------------------------------
 
-def _closed_form_sum(pdb: PDBSpace, q: Aggregate) -> Fraction:
-    """E(sum) for a single-atom body on an independent space: each matching
-    fact contributes its target value times its presence probability."""
+def _closed_form_sum(fact_probs: FactMap, q: Aggregate) -> Fraction:
+    """E(sum) for a single-atom body on an independent space, given its
+    per-fact probabilities: each matching fact contributes its target
+    value times its presence probability."""
     atom = q.atoms[0]
     total = Fraction(0)
-    for args, p in _fact_probabilities(pdb).get(atom.predicate, {}).items():
+    for args, p in fact_probs.get(atom.predicate, {}).items():
         binding = _unify(atom, args, {})
         if binding is None:
             continue
@@ -272,27 +279,67 @@ def _closed_form_sum(pdb: PDBSpace, q: Aggregate) -> Fraction:
     return total
 
 
+def _causal_backend(pdb: PDBSpace, q: Query) -> str:
+    """The route of a causal effect: the lifted plan for lifted-class
+    Boolean queries and the closed form for single-atom sums, both on
+    independent spaces; world sums otherwise."""
+    if is_boolean(q):
+        return BRUTE if lifted_rejections(pdb, q) else LIFTED
+    assert isinstance(q, Aggregate)
+    if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
+        return CLOSED_FORM
+    return BRUTE
+
+
+def _forced(
+    pdb: PDBSpace, fact_probs: FactMap, targets: frozenset[str], present: bool
+) -> FactMap:
+    """The per-fact map of an independent space after do(targets in) or
+    do(targets out): only the targets' facts change.  Forced in, such a
+    fact holds surely; forced out, it holds iff a carrier outside the
+    targets does, so its probability is 1 - prod(1 - p) over those
+    carriers (1 with an exogenous carrier, 0 with none)."""
+    facts = {pdb.instance.record(tid).fact for tid in targets}
+    if present:
+        changed = dict.fromkeys(facts, Fraction(1))
+    else:
+        marginals = pdb.representation.marginals
+        absent = dict.fromkeys(facts, Fraction(1))
+        for rec in pdb.instance.records():
+            if rec.fact in absent and rec.tid not in targets:
+                absent[rec.fact] *= 1 - marginals[rec.tid]
+        changed = {fact: 1 - a for fact, a in absent.items()}
+    forced = dict(fact_probs)
+    for (pred, args), p in changed.items():
+        forced[pred] = {**forced[pred], args: p}
+    return forced
+
+
 def _causal_effect(
-    pdb: PDBSpace, q: Query, targets: frozenset[str], cap: int | None = None
+    pdb: PDBSpace, q: Query, targets: frozenset[str], cap: int | None = None,
+    fact_probs: FactMap | None = None,
 ) -> tuple[Fraction, str]:
+    """A target set's causal effect and the backend that computed it.  The
+    lifted and closed-form routes read the space's per-fact map (built
+    here, or passed in by a caller scoring many target sets) with the
+    targets' facts forced; the world route sums over the base worlds."""
     if not targets:
         raise InputError("causal effect needs a nonempty target set")
     pdb.instance.require_endogenous(targets)
+    backend = _causal_backend(pdb, q)
+    if backend is not BRUTE:
+        if fact_probs is None:
+            fact_probs = _fact_probabilities(pdb)
+        expectation = _lifted if backend is LIFTED else _closed_form_sum
+        e_in = expectation(_forced(pdb, fact_probs, targets, True), q)
+        e_out = expectation(_forced(pdb, fact_probs, targets, False), q)
+        return Fraction(e_in - e_out), backend
     going_in = Intervention.do_in(targets)
     going_out = Intervention.do_out(targets)
     if is_boolean(q):
-        if not lifted_rejections(pdb, q):
-            p_in = query_probability(intervene(pdb, going_in), q, "lifted")
-            p_out = query_probability(intervene(pdb, going_out), q, "lifted")
-            return Fraction(p_in - p_out), LIFTED
         p_in = intervened_query_value(pdb, q, going_in, 1, cap)
         p_out = intervened_query_value(pdb, q, going_out, 1, cap)
         return Fraction(p_in - p_out), BRUTE
-    assert isinstance(q, Aggregate)
-    if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
-        e_in = _closed_form_sum(intervene(pdb, going_in), q)
-        e_out = _closed_form_sum(intervene(pdb, going_out), q)
-        return e_in - e_out, CLOSED_FORM
     e_in = intervened_expectation(pdb, q, going_in, cap)
     e_out = intervened_expectation(pdb, q, going_out, cap)
     return e_in - e_out, BRUTE
@@ -536,19 +583,25 @@ def score_all(
     instance = _instance_of(source)
     tids = instance.endogenous_order
     entries: list[ScoreEntry] = []
-    if kind in (ScoreKind.GCES, ScoreKind.CES_TID):
-        if not isinstance(source, PDBSpace):
+    if kind in (ScoreKind.GCES, ScoreKind.CES_TID, ScoreKind.CES_UI):
+        if kind is ScoreKind.CES_UI:
+            space = make_uniform_tid(instance)
+        elif not isinstance(source, PDBSpace):
             raise InputError(f"{kind.value} needs a probability space")
-        if kind is ScoreKind.CES_TID and not source.is_tid:
+        elif kind is ScoreKind.CES_TID and not source.is_tid:
             raise InputError("ces-tid needs a tuple-independent space")
+        else:
+            space = source
+        # One validated fact map serves every tuple on the independent routes.
+        fact_probs = None
+        if tids and _causal_backend(space, q) is not BRUTE:
+            fact_probs = _fact_probabilities(space)
         for tid in tids:
-            value, backend = _causal_effect(source, q, frozenset([tid]), cap)
-            entries.append(ScoreEntry(tid, value, backend))
-    elif kind is ScoreKind.CES_UI:
-        uniform = make_uniform_tid(instance)
-        for tid in tids:
-            value, backend = _causal_effect(uniform, q, frozenset([tid]), cap)
-            entries.append(ScoreEntry(tid, value, backend, positive_ceui=value > 0))
+            value, backend = _causal_effect(
+                space, q, frozenset([tid]), cap, fact_probs
+            )
+            positive = value > 0 if kind is ScoreKind.CES_UI else None
+            entries.append(ScoreEntry(tid, value, backend, positive))
     elif kind in (
         ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
         ScoreKind.WEIGHTED_POWER,

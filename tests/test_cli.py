@@ -333,6 +333,47 @@ def test_json_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
     assert "4300 digits" in err
 
 
+def _long_marginal_files(tmp_path, marginals):
+    """R(a), R(b), ... with the given marginals, and Q() :- R(X)."""
+    names = [f"t{i + 1}" for i in range(len(marginals))]
+    doc = {
+        "schema": {"R": 1},
+        "tuples": [
+            {"tid": tid, "predicate": "R", "args": [chr(ord("a") + i)], "kind": "endogenous"}
+            for i, tid in enumerate(names)
+        ],
+        "marginals": dict(zip(names, marginals)),
+    }
+    pdb = tmp_path / "long.json"
+    pdb.write_text(json.dumps(doc))
+    query = tmp_path / "q.q"
+    query.write_text("Q() :- R(X)\n")
+    return ["--pdb", pdb, "--query", query]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_probability_past_the_digit_limit_is_a_domain_error(tmp_path, capsys, fmt):
+    # Every input number is short enough to parse, but P(Q) = 1 - (1-p)(1-q)
+    # has a denominator of about 4400 digits.
+    files = _long_marginal_files(tmp_path, ["1/" + "9" * 2200, "1/" + "9" * 2199 + "7"])
+    code, out, err = run(capsys, "prob", *files, "--format", fmt)
+    assert code == 1 and out == ""
+    assert "4300 digits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--kind", "ces-tid"], ["rank", "--kind", "gces"], ["oracle-compare", "--tuple", "t1"],
+])
+def test_scores_past_the_digit_limit_are_domain_errors(tmp_path, capsys, command):
+    # A tuple's causal effect is the product of the other three co-marginals,
+    # whose denominators have 1500 digits each.
+    files = _long_marginal_files(tmp_path, ["1/" + "9" * 1499 + d for d in "1379"])
+    code, out, err = run(capsys, *command, *files)
+    assert code == 1 and out == ""
+    assert "4300 digits" in err
+
+
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     code, out, err = _prob_on(tmp_path, capsys, "[" * 100000 + "]" * 100000)
     assert (code, out) == (2, "")

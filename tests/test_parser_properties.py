@@ -87,6 +87,9 @@ def _one_tuple(predicate="R", arg="a", marginal="1/2", tag=None):
 @given(doc=documents)
 @example(doc=_one_tuple(predicate=["R"]))
 @example(doc=_one_tuple(arg=(10 ** 5000 - 1) // 9))  # LONG_NUMBER as an int
+@example(doc={"schema": {"R": ["symbolic"]}, "tuples": [
+    {"tid": "t1", "predicate": "R", "args": [(10 ** 5000 - 1) // 9], "kind": "endogenous"},
+]})
 @example(doc=_one_tuple(marginal="1e-3"))
 @example(doc=_one_tuple(marginal="2E5"))
 @example(doc=_one_tuple(marginal="1e-3000000"))

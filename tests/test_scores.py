@@ -31,7 +31,7 @@ from causalpdb import (
     weighted_power,
 )
 from causalpdb import scores as scores_module
-from causalpdb.queries import evaluate
+from causalpdb.queries import Var, evaluate
 from causalpdb.scores import EndoWorlds, _causal_effect
 
 from helpers import (
@@ -245,6 +245,155 @@ def test_aggregate_count_uses_brute():
     value, backend = _causal_effect(space, q, frozenset(["t7"]))
     assert backend == "brute"
     assert value == 1  # t7's fact is one distinct assignment
+
+
+# ---------------------------------------------------------------------------
+# Causal effects on independent spaces: one fact map, the targets' facts forced
+# ---------------------------------------------------------------------------
+
+def _shared_fact_space(rng, schema, records, carried):
+    """A random independent space over the records plus one or two more
+    carriers of the record ``carried``'s fact, the last of them exogenous
+    in about a third of the draws."""
+    extra = rng.randint(1, 2)
+    for i in range(extra):
+        exogenous = i == extra - 1 and rng.random() < 1 / 3
+        records.append(TupleRecord(
+            f"d{i + 1}", carried.predicate, carried.args,
+            "exogenous" if exogenous else "endogenous",
+        ))
+    return random_tid_space(rng, InstanceStore(schema, records))
+
+
+def _matches(atom, fact):
+    predicate, args = fact
+    return atom.predicate == predicate and all(
+        isinstance(term, Var) or term == value for term, value in zip(atom.terms, args)
+    )
+
+
+def _shared_fact_draws(seed, count):
+    """(space, hierarchical self-join-free BCQ, carriers of the shared
+    fact) draws; some atom of the query matches the shared fact."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = random_instance(rng, max_endogenous=5, n_exogenous=rng.randint(0, 1))
+        records = inst.records()
+        carried = rng.choice(records)
+        # Two atoms at most, so that the other atom often holds too.
+        q = random_hierarchical_sjf_bcq(rng, max_atoms=2)
+        while not any(_matches(atom, carried.fact) for atom in q.atoms):
+            q = random_hierarchical_sjf_bcq(rng, max_atoms=2)
+        space = _shared_fact_space(rng, CORPUS_SCHEMA, records, carried)
+        carriers = sorted(
+            r.tid for r in space.instance.records() if r.fact == carried.fact
+        )
+        yield space, q, carriers
+
+
+@pytest.mark.parametrize("kind", ["ces-tid", "ces-ui", "gces"])
+def test_lifted_scores_with_shared_facts_match_the_oracle(kind):
+    for space, q, _ in _shared_fact_draws(31, 25):
+        inst = space.instance
+        source = inst if kind == "ces-ui" else space
+        oracle_space = make_uniform_tid(inst) if kind == "ces-ui" else space
+        report = score_all(source, q, kind)
+        assert {e.backend for e in report.entries} <= {"lifted"}
+        assert report.values() == {
+            t: oracle_causal_effect(oracle_space, q, t) for t in inst.endogenous_order
+        }
+
+
+def test_lifted_effects_of_target_pairs_match_the_oracle():
+    pick = random.Random(33)
+    shared_pairs = 0
+    for space, q, carriers in _shared_fact_draws(32, 30):
+        endo = space.instance.endogenous_order
+        pairs = [frozenset(pick.sample(endo, 2))] if len(endo) > 1 else []
+        shared = [t for t in carriers if t in space.instance.endogenous]
+        if len(shared) > 1:
+            pairs.append(frozenset(shared[:2]))
+            shared_pairs += 1
+        for pair in pairs:
+            value, backend = _causal_effect(space, q, pair)
+            assert backend == "lifted"
+            assert value == oracle_causal_effect(space, q, pair)
+            assert causal_effect(space, q, pair) == value
+    assert shared_pairs >= 5
+
+
+SUM_SCHEMA = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
+
+
+@pytest.mark.parametrize("body", ["S(X,Y)", "S(a,Y)", "S(b,Y)"])
+def test_closed_form_sums_with_shared_facts_match_the_oracle(body):
+    q = parse_query(f"Q(sum(Y)) :- {body}", SUM_SCHEMA)
+    rng = random.Random(body)
+    for _ in range(8):
+        facts = {(rng.choice("ab"), Fraction(rng.randint(-2, 3))) for _ in range(4)}
+        records = [
+            TupleRecord(f"t{i}", "S", args, "endogenous")
+            for i, args in enumerate(sorted(facts))
+        ]
+        space = _shared_fact_space(rng, SUM_SCHEMA, records, rng.choice(records))
+        inst = space.instance
+        for kind, oracle_space in (("ces-tid", space), ("gces", space),
+                                   ("ces-ui", make_uniform_tid(inst))):
+            report = score_all(inst if kind == "ces-ui" else space, q, kind)
+            assert {e.backend for e in report.entries} == {"closed-form"}
+            assert report.values() == {
+                t: oracle_causal_effect(oracle_space, q, t) for t in inst.endogenous_order
+            }
+        pair = frozenset(rng.sample(inst.endogenous_order, 2))
+        value, backend = _causal_effect(space, q, pair)
+        assert backend == "closed-form"
+        assert value == oracle_causal_effect(space, q, pair)
+
+
+def _count_validations(monkeypatch):
+    from causalpdb import core
+
+    calls = []
+
+    def counting(pdb, _validate=core.validate):
+        calls.append(pdb)
+        return _validate(pdb)
+
+    monkeypatch.setattr(core, "validate", counting)
+    return calls
+
+
+def test_independent_routes_validate_once_and_build_no_intervened_space(monkeypatch):
+    from causalpdb import interventions
+    from helpers import two_component_query, two_component_space
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an intervened space was built")
+
+    monkeypatch.setattr(interventions.IntervenedSpace, "__init__", refuse)
+    calls = _count_validations(monkeypatch)
+    space = two_component_space()
+    q = two_component_query(space.instance.schema)
+    sums = parse_query("Q(sum(Y)) :- S(X,Y)", SUM_SCHEMA)
+    summed = make_uniform_tid(InstanceStore(SUM_SCHEMA, [
+        TupleRecord(f"t{i}", "S", ("a", i), "endogenous") for i in range(4)
+    ]))
+    for source, query, kind, backend in (
+        (space, q, "ces-tid", "lifted"),
+        (space, q, "gces", "lifted"),
+        (space.instance, q, "ces-ui", "lifted"),
+        (summed, sums, "ces-tid", "closed-form"),
+    ):
+        calls.clear()
+        report = score_all(source, query, kind)
+        assert len(report.entries) > 1
+        assert {e.backend for e in report.entries} == {backend}
+        assert len(calls) == 1
+    for pdb, query, targets in ((space, q, ["t1"]), (space, q, ["t1", "t4"]),
+                                (summed, sums, ["t2"])):
+        calls.clear()
+        causal_effect(pdb, query, targets)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
