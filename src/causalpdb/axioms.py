@@ -14,9 +14,9 @@ exhaustively up to a cap).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     InputError,

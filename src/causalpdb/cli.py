@@ -24,6 +24,7 @@ from .axioms import (
     check_sym,
 )
 from .core import (
+    ExplicitWorlds,
     InputError,
     InvalidSpaceError,
     ResourceLimitError,
@@ -230,6 +231,9 @@ def cmd_intervene(args) -> int:
     outs = _parse_targets(args.force_out)
     iv = Intervention(ins=ins, outs=outs)
     derived = intervene(doc.space, iv)
+    rep = derived.representation
+    table = rep.masses if isinstance(rep, ExplicitWorlds) else rep.marginals
+    _require_printable(*table.values())
     if args.format == "json":
         _emit_json(space_to_document(derived))
     else:
@@ -300,6 +304,9 @@ def cmd_axioms(args) -> int:
     if args.query2:
         q2 = load_query_file(args.query2, doc.instance.schema)
         verdicts.append(check_lin(doc.space, q, q2, score_fn, cap))
+    _require_printable(*(
+        side for v in verdicts for w in v.witnesses for side in (w.lhs, w.rhs)
+    ))
     if args.format == "json":
         _emit_json({"score": args.score, "verdicts": [v.to_json_dict() for v in verdicts]})
     else:

@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 ENDOGENOUS = "endogenous"
 EXOGENOUS = "exogenous"
@@ -29,7 +29,7 @@ NUMERIC = "numeric"
 #: enumerated: 2**25 worlds is the practical desk-scale exact limit.
 DEFAULT_WORLD_CAP = 25
 
-Constant = Union[str, Fraction]
+Constant = str | Fraction
 
 
 class InputError(ValueError):
@@ -124,6 +124,15 @@ def _quoted(value: Constant) -> str:
     Python converts to text is described instead."""
     try:
         return repr(constant_repr(value))
+    except ValueError:
+        return _number_text(value)
+
+
+def _number_text(value: Fraction) -> str:
+    """A number for a message, described instead when it has more digits
+    than Python converts to text."""
+    try:
+        return str(value)
     except ValueError:
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
@@ -325,7 +334,7 @@ class TupleIndependent:
         }
 
 
-Representation = Union[ExplicitWorlds, TupleIndependent]
+Representation = ExplicitWorlds | TupleIndependent
 
 
 class PDBSpace:
@@ -364,7 +373,9 @@ def validate(pdb: PDBSpace) -> list[Violation]:
         total = rep.total_mass()
         if total != 1:
             out.append(
-                Violation("mass-total", f"world masses sum to {total}, not 1")
+                Violation(
+                    "mass-total", f"world masses sum to {_number_text(total)}, not 1"
+                )
             )
         for world, mass in sorted(
             rep.masses.items(), key=lambda item: tuple(sorted(item[0]))
@@ -383,8 +394,8 @@ def validate(pdb: PDBSpace) -> list[Violation]:
                     out.append(
                         Violation(
                             "exogenous-missing",
-                            f"world {sorted(world)} has mass {mass} > 0 but omits "
-                            f"exogenous tuples {missing}",
+                            f"world {sorted(world)} has mass {_number_text(mass)} "
+                            f"> 0 but omits exogenous tuples {missing}",
                         )
                     )
     else:

@@ -5,13 +5,13 @@ Supported query classes: Boolean conjunctive queries, unions of them, and
 scalar SUM/COUNT aggregates over a conjunctive body.  Query probability is
 computed either by brute-force world enumeration or, for self-join-free
 hierarchical BCQs on tuple-independent spaces, by lifted inference.  The
-lifted recursion carries a binding of variables to constants and never
-rewrites the atoms: it splits the atoms into components connected by
-unbound variables (independent, probabilities multiply), reads an atom
-whose variables are all bound off the per-fact probabilities, and
-otherwise binds a root variable that occurs in every atom of its
-component to each value the facts offer, combining those groundings as
-independent disjuncts.
+lifted safe plan is built once per query and fact set and evaluated on any
+per-fact probability map with the same facts: it splits the atoms into
+components connected by unbound variables (independent, probabilities
+multiply), reads an atom whose variables are all bound off the map, and
+otherwise expands a root variable that occurs in every atom of its
+component over the values the facts offer, grouped by the values bound
+above it, combining those groundings as independent disjuncts.
 
 Query grammar, one rule per line (``;`` also separates rules, ``#`` starts
 a comment)::
@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     Constant,
@@ -73,7 +73,7 @@ class Var:
         return self.name
 
 
-Term = Union[Var, Constant]
+Term = Var | Constant
 
 
 def term_repr(term: Term) -> str:
@@ -159,8 +159,8 @@ class DisjQuery:
         return " OR ".join(f"({p})" for p in self.parts)
 
 
-BooleanQuery = Union[BCQ, UBCQ, QueryOfSet, ConjQuery, DisjQuery]
-Query = Union[BooleanQuery, Aggregate]
+BooleanQuery = BCQ | UBCQ | QueryOfSet | ConjQuery | DisjQuery
+Query = BooleanQuery | Aggregate
 
 
 def is_boolean(q: Query) -> bool:
@@ -599,7 +599,8 @@ def query_probability(
             if evaluate(q, pdb.instance, world):
                 total += mass
         return Probability(total)
-    return Probability(_lifted(_fact_probabilities(pdb), q))
+    fact_probs = _fact_probabilities(pdb)
+    return Probability(_lifted_plan(fact_probs, q).probability(fact_probs))
 
 
 def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fraction:
@@ -634,24 +635,93 @@ def _fact_probabilities(pdb: PDBSpace) -> FactMap:
     }
 
 
-def _lifted(fact_probs: FactMap, q: BCQ) -> Fraction:
-    """P(q) for a self-join-free hierarchical BCQ, read off a per-fact
-    probability map (`_fact_probabilities`)."""
+# A lifted plan node's `probability(fact_probs, path)` reads a per-fact map
+# under a path: the values bound to the roots of the expansions above the
+# node, in binding order (empty at the plan's root).  Every atom below an
+# expansion holds its root, so each atom of a node holds every variable the
+# path binds.
 
-    def prob(atoms: tuple[Atom, ...], binding: dict) -> Fraction:
-        groups = _atom_groups(atoms, binding.keys())
+class _Ground:
+    """An atom whose variables are all bound: the probability of the one
+    fact it then names, if the facts hold it."""
+
+    def __init__(self, predicate: str, facts: dict[tuple, tuple]):
+        self.predicate = predicate
+        self.facts = facts  # path -> the fact's arguments
+
+    def probability(self, fact_probs: FactMap, path: tuple = ()) -> Fraction:
+        args = self.facts.get(path)
+        if args is None:
+            return Fraction(0)
+        return fact_probs[self.predicate][args]
+
+
+class _Product:
+    """Components connected by no unbound variable are independent, so
+    their probabilities multiply."""
+
+    def __init__(self, children: tuple):
+        self.children = children
+
+    def probability(self, fact_probs: FactMap, path: tuple = ()) -> Fraction:
+        result = Fraction(1)
+        for child in self.children:
+            result *= child.probability(fact_probs, path)
+        return result
+
+
+_NO_VALUES = frozenset()
+
+
+class _Expand:
+    """A root variable that occurs in every atom of a component: the
+    groundings at its values touch disjoint facts, so the component holds
+    with probability 1 - prod(1 - P(grounding)).  The values are those that
+    every atom's facts offer under the path."""
+
+    def __init__(self, offers: tuple[dict[tuple, frozenset], ...], child):
+        self.offers = offers  # per atom: path -> the root values its facts offer
+        self.child = child
+
+    def probability(self, fact_probs: FactMap, path: tuple = ()) -> Fraction:
+        miss = Fraction(1)
+        offered = (offer.get(path, _NO_VALUES) for offer in self.offers)
+        for value in frozenset.intersection(*offered):
+            miss *= 1 - self.child.probability(fact_probs, path + (value,))
+        return 1 - miss
+
+
+def _facts_by_path(
+    fact_probs: FactMap, atom: Atom, bound: tuple[str, ...]
+) -> Iterator[tuple[tuple, tuple, dict]]:
+    """(path, args, match) for each fact that unifies with the atom, so
+    that constants and repeated variables keep their meaning; the path is
+    the match's values of the bound variables."""
+    for args in fact_probs.get(atom.predicate, ()):
+        match = _unify(atom, args, {})
+        if match is not None:
+            yield tuple(match[v] for v in bound), args, match
+
+
+def _lifted_plan(fact_probs: FactMap, q: BCQ):
+    """The safe plan of a self-join-free hierarchical BCQ over the facts of
+    a per-fact map (`_fact_probabilities`), with each atom's root values
+    grouped by path.  Its `probability(m)` is P(q) under any map `m` that
+    holds the same facts, such as the map with some facts forced.
+    A component with no root variable is refused (`DichotomyError`)."""
+
+    def build(atoms: tuple[Atom, ...], bound: tuple[str, ...]):
+        groups = _atom_groups(atoms, frozenset(bound))
         if len(groups) != 1:
-            result = Fraction(1)
-            for group in groups:
-                result *= prob(tuple(atoms[i] for i in group), binding)
-            return result
-        free = [atom.variables - binding.keys() for atom in atoms]
+            return _Product(tuple(
+                build(tuple(atoms[i] for i in group), bound) for group in groups
+            ))
+        free = [atom.variables.difference(bound) for atom in atoms]
         if not free[0]:
             (atom,) = atoms
-            args = tuple(
-                binding[t.name] if isinstance(t, Var) else t for t in atom.terms
-            )
-            return fact_probs.get(atom.predicate, {}).get(args, Fraction(0))
+            return _Ground(atom.predicate, {
+                path: args for path, args, _ in _facts_by_path(fact_probs, atom, bound)
+            })
         roots = sorted(free[0].intersection(*free[1:]))
         if not roots:
             raise DichotomyError(
@@ -659,17 +729,15 @@ def _lifted(fact_probs: FactMap, q: BCQ) -> Fraction:
                 "the component is non-hierarchical"
             )
         root = roots[0]
-        candidates = set.intersection(*(
-            {match[root] for args in fact_probs.get(atom.predicate, ())
-             if (match := _unify(atom, args, binding)) is not None}
-            for atom in atoms
-        ))
-        miss = Fraction(1)
-        for value in candidates:
-            miss *= 1 - prob(atoms, {**binding, root: value})
-        return 1 - miss
+        offers = []
+        for atom in atoms:
+            offer: dict[tuple, set] = {}
+            for path, _, match in _facts_by_path(fact_probs, atom, bound):
+                offer.setdefault(path, set()).add(match[root])
+            offers.append({path: frozenset(values) for path, values in offer.items()})
+        return _Expand(tuple(offers), build(atoms, bound + (root,)))
 
-    return prob(q.atoms, {})
+    return build(q.atoms, ())
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ tuple-independent space an intervention changes only the probabilities of
 the targets' facts, so self-join-free hierarchical BCQs (the lifted
 evaluator) and single-atom sums (a closed form) read one validated per-fact
 map with those facts forced, and no intervened space is built; `score_all`
-builds that map once for all its tuples.  Every other case sums over
-worlds.
+chooses the route and builds that map, and the lifted plan that reads it,
+once for all its tuples.  Every other case sums over worlds.
 
 Every subset score is one weighted swing sum over one value table
 (`swing_sum`): the sum, over the endogenous subsets S without tuple t, of
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
     DEFAULT_WORLD_CAP,
@@ -61,7 +61,7 @@ from .queries import (
     Query,
     _fact_probabilities,
     _homomorphism_images,
-    _lifted,
+    _lifted_plan,
     _unify,
     evaluate,
     is_boolean,
@@ -279,16 +279,34 @@ def _closed_form_sum(fact_probs: FactMap, q: Aggregate) -> Fraction:
     return total
 
 
-def _causal_backend(pdb: PDBSpace, q: Query) -> str:
-    """The route of a causal effect: the lifted plan for lifted-class
-    Boolean queries and the closed form for single-atom sums, both on
-    independent spaces; world sums otherwise."""
+@dataclass(frozen=True)
+class _Route:
+    """How a space's causal effects are computed: the backend label and, on
+    the lifted and closed-form routes, the validated per-fact map with the
+    expectation that reads it (or a copy of it with some facts forced)."""
+
+    backend: str
+    fact_probs: FactMap | None = None
+    expectation: Callable[[FactMap], Fraction] | None = None
+
+
+def _causal_route(pdb: PDBSpace, q: Query) -> _Route:
+    """The route of a causal effect: a lifted plan, built once from the
+    space's fact map, for lifted-class Boolean queries, and the closed form
+    for single-atom sums, both on independent spaces; world sums
+    otherwise."""
     if is_boolean(q):
-        return BRUTE if lifted_rejections(pdb, q) else LIFTED
+        if lifted_rejections(pdb, q):
+            return _Route(BRUTE)
+        fact_probs = _fact_probabilities(pdb)
+        return _Route(LIFTED, fact_probs, _lifted_plan(fact_probs, q).probability)
     assert isinstance(q, Aggregate)
     if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
-        return CLOSED_FORM
-    return BRUTE
+        return _Route(
+            CLOSED_FORM, _fact_probabilities(pdb),
+            lambda probs: _closed_form_sum(probs, q),
+        )
+    return _Route(BRUTE)
 
 
 def _forced(
@@ -317,23 +335,22 @@ def _forced(
 
 def _causal_effect(
     pdb: PDBSpace, q: Query, targets: frozenset[str], cap: int | None = None,
-    fact_probs: FactMap | None = None,
+    route: _Route | None = None,
 ) -> tuple[Fraction, str]:
     """A target set's causal effect and the backend that computed it.  The
-    lifted and closed-form routes read the space's per-fact map (built
-    here, or passed in by a caller scoring many target sets) with the
-    targets' facts forced; the world route sums over the base worlds."""
+    route is chosen here, or passed in by a caller scoring many target
+    sets; the lifted and closed-form routes read the route's per-fact map
+    with the targets' facts forced, and the world route sums over the base
+    worlds."""
     if not targets:
         raise InputError("causal effect needs a nonempty target set")
     pdb.instance.require_endogenous(targets)
-    backend = _causal_backend(pdb, q)
-    if backend is not BRUTE:
-        if fact_probs is None:
-            fact_probs = _fact_probabilities(pdb)
-        expectation = _lifted if backend is LIFTED else _closed_form_sum
-        e_in = expectation(_forced(pdb, fact_probs, targets, True), q)
-        e_out = expectation(_forced(pdb, fact_probs, targets, False), q)
-        return Fraction(e_in - e_out), backend
+    if route is None:
+        route = _causal_route(pdb, q)
+    if route.backend is not BRUTE:
+        e_in = route.expectation(_forced(pdb, route.fact_probs, targets, True))
+        e_out = route.expectation(_forced(pdb, route.fact_probs, targets, False))
+        return Fraction(e_in - e_out), route.backend
     going_in = Intervention.do_in(targets)
     going_out = Intervention.do_out(targets)
     if is_boolean(q):
@@ -592,14 +609,10 @@ def score_all(
             raise InputError("ces-tid needs a tuple-independent space")
         else:
             space = source
-        # One validated fact map serves every tuple on the independent routes.
-        fact_probs = None
-        if tids and _causal_backend(space, q) is not BRUTE:
-            fact_probs = _fact_probabilities(space)
+        # One route, with its fact map and lifted plan, serves every tuple.
+        route = _causal_route(space, q) if tids else None
         for tid in tids:
-            value, backend = _causal_effect(
-                space, q, frozenset([tid]), cap, fact_probs
-            )
+            value, backend = _causal_effect(space, q, frozenset([tid]), cap, route)
             positive = value > 0 if kind is ScoreKind.CES_UI else None
             entries.append(ScoreEntry(tid, value, backend, positive))
     elif kind in (

@@ -113,6 +113,43 @@ def test_first_bad_tuple_id_does_not_depend_on_the_hash_seed():
         assert done.stderr == "error: unknown tuple id 't1'\n", seed
 
 
+def test_python_dash_m_runs_the_cli():
+    import causalpdb
+
+    src = str(Path(causalpdb.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "causalpdb", "validate",
+         "--pdb", str(FIXTURES / "four_worlds_pdb.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "valid\n", "")
+
+
+def test_reimported_modules_are_freed():
+    # Module-level type aliases built with typing.Union or typing.Callable
+    # sit in typing's cache, which kept every old copy of a re-imported
+    # module alive.
+    import causalpdb
+
+    script = """
+import gc, importlib, sys, weakref
+importlib.import_module("causalpdb.cli")
+old = [weakref.ref(sys.modules["causalpdb." + m].__dict__[c]) for m, c in
+       (("core", "ExplicitWorlds"), ("queries", "Var"), ("axioms", "Witness"))]
+for name in [m for m in sys.modules if m.split(".")[0] == "causalpdb"]:
+    del sys.modules[name]
+importlib.import_module("causalpdb.cli")
+gc.collect()
+print([ref() is None for ref in old])
+"""
+    src = str(Path(causalpdb.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (done.stdout, done.stderr) == ("[True, True, True]\n", "")
+
+
 def test_brute_enumeration_of_thousands_of_sure_tuples(tmp_path, capsys):
     n = 3000
     doc = {
@@ -372,6 +409,93 @@ def test_scores_past_the_digit_limit_are_domain_errors(tmp_path, capsys, command
     code, out, err = run(capsys, *command, *files)
     assert code == 1 and out == ""
     assert "4300 digits" in err
+
+
+def _long_mass_sum_doc(tmp_path):
+    """One endogenous tuple and two worlds whose masses parse, but whose
+    sum has a denominator of about 4400 digits."""
+    doc = {
+        "schema": {"R": 1},
+        "tuples": [{"tid": "t1", "predicate": "R", "args": ["a"], "kind": "endogenous"}],
+        "worlds": [
+            {"tids": [], "p": "1/" + "9" * 2200},
+            {"tids": ["t1"], "p": "1/" + "9" * 2199 + "7"},
+        ],
+    }
+    pdb = tmp_path / "mass.json"
+    pdb.write_text(json.dumps(doc))
+    query = tmp_path / "q.q"
+    query.write_text("Q() :- R(X)\n")
+    return pdb, query
+
+
+LONG_MASS_DETAIL = "world masses sum to a number of more than 4300 digits, not 1"
+
+
+def test_validate_reports_a_mass_sum_past_the_digit_limit(tmp_path, capsys):
+    pdb, _ = _long_mass_sum_doc(tmp_path)
+    code, out, err = run(capsys, "validate", "--pdb", pdb)
+    assert (code, out, err) == (1, f"violation [mass-total] {LONG_MASS_DETAIL}\n", "")
+    code, out, err = run(capsys, "validate", "--pdb", pdb, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "valid": False,
+        "violations": [{"code": "mass-total", "detail": LONG_MASS_DETAIL}],
+    }
+
+
+@pytest.mark.parametrize("command", [
+    ["prob"], ["score", "--kind", "gces"], ["rank", "--kind", "shapley"],
+    ["axioms"], ["oracle-compare", "--tuple", "t1"], ["intervene", "--in", "t1"],
+], ids=lambda command: command[0])
+def test_commands_refuse_a_mass_sum_past_the_digit_limit(tmp_path, capsys, command):
+    pdb, query = _long_mass_sum_doc(tmp_path)
+    files = ["--pdb", pdb] if command[0] == "intervene" else ["--pdb", pdb, "--query", query]
+    code, out, err = run(capsys, *command, *files)
+    assert (code, out) == (1, "")
+    assert err == f"error: {pdb}: invalid space: [mass-total] {LONG_MASS_DETAIL}\n"
+
+
+def _long_result_doc(tmp_path):
+    """A valid space on R(a), R(b) whose worlds {}, {t1}, {t2}, {t1,t2}
+    carry a, b, 1/2 - a and 1/2 - b, with a = 1/(10^2200 - 1) and
+    b = 1/(10^2200 - 3): forcing t1 in adds a and b."""
+    from fractions import Fraction
+
+    a, b = Fraction(1, 10 ** 2200 - 1), Fraction(1, 10 ** 2200 - 3)
+    masses = [([], a), (["t1"], b), (["t2"], Fraction(1, 2) - a), (["t1", "t2"], Fraction(1, 2) - b)]
+    doc = {
+        "schema": {"R": 1},
+        "tuples": [
+            {"tid": "t1", "predicate": "R", "args": ["a"], "kind": "endogenous"},
+            {"tid": "t2", "predicate": "R", "args": ["b"], "kind": "endogenous"},
+        ],
+        "worlds": [
+            {"tids": tids, "p": f"{p.numerator}/{p.denominator}"} for tids, p in masses
+        ],
+    }
+    pdb = tmp_path / "long.json"
+    pdb.write_text(json.dumps(doc))
+    query = tmp_path / "q.q"
+    query.write_text("Q() :- R(X)\n")
+    return pdb, query
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["intervene", "axioms"])
+def test_intervene_and_axioms_past_the_digit_limit_are_domain_errors(
+    tmp_path, capsys, command, fmt
+):
+    pdb, query = _long_result_doc(tmp_path)
+    assert run(capsys, "validate", "--pdb", pdb) == (0, "valid\n", "")
+    if command == "intervene":
+        argv = ["intervene", "--in", "t1", "--pdb", pdb]
+    else:
+        argv = ["axioms", "--score", "gces", "--pdb", pdb, "--query", query]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot print the result:")
+    assert "4300 digits" in err and "Traceback" not in err
 
 
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):

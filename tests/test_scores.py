@@ -322,6 +322,74 @@ def test_lifted_effects_of_target_pairs_match_the_oracle():
     assert shared_pairs >= 5
 
 
+def test_one_lifted_plan_serves_the_base_and_every_forced_map():
+    from causalpdb.interventions import Intervention, intervene
+    from causalpdb.queries import _fact_probabilities, _lifted_plan, query_probability
+    from causalpdb.scores import _forced
+
+    rng = random.Random(41)
+    seen = {"constant": 0, "repeated variable": 0, "nonzero effect": 0}
+    for _ in range(80):
+        inst = random_instance(rng, max_endogenous=5, n_exogenous=rng.randint(0, 1))
+        records = inst.records()
+        space = _shared_fact_space(rng, CORPUS_SCHEMA, records, rng.choice(records))
+        q = random_hierarchical_sjf_bcq(rng)
+        terms = [t for atom in q.atoms for t in atom.terms]
+        seen["constant"] += any(not isinstance(t, Var) for t in terms)
+        seen["repeated variable"] += any(
+            len(atom.variables) < sum(isinstance(t, Var) for t in atom.terms)
+            for atom in q.atoms
+        )
+        base = _fact_probabilities(space)
+        plan = _lifted_plan(base, q)
+        assert plan.probability(base) == query_probability(space, q, "brute")
+        for tid in space.instance.endogenous_order:
+            target = frozenset([tid])
+            p_in = plan.probability(_forced(space, base, target, True))
+            p_out = plan.probability(_forced(space, base, target, False))
+            assert p_in == query_probability(
+                intervene(space, Intervention.do_in(target)), q, "brute"
+            )
+            assert p_out == query_probability(
+                intervene(space, Intervention.do_out(target)), q, "brute"
+            )
+            assert p_in - p_out == oracle_causal_effect(space, q, tid)
+            seen["nonzero effect"] += p_in != p_out
+    assert min(seen.values()) >= 10, seen
+
+
+def _count_calls(monkeypatch, module, *names):
+    calls = {}
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_score_all_chooses_the_route_and_builds_the_plan_once(monkeypatch):
+    from helpers import two_component_query, two_component_space
+
+    calls = _count_calls(monkeypatch, scores_module, "lifted_rejections", "_lifted_plan")
+    space = two_component_space()
+    q = two_component_query(space.instance.schema)
+    for source, kind in ((space, "ces-tid"), (space, "gces"), (space.instance, "ces-ui")):
+        calls.clear()
+        report = score_all(source, q, kind)
+        assert len(report.entries) > 1
+        assert {e.backend for e in report.entries} == {"lifted"}
+        assert calls == {"lifted_rejections": 1, "_lifted_plan": 1}
+    calls.clear()
+    causal_effect(space, q, ["t1", "t4"])
+    assert calls == {"lifted_rejections": 1, "_lifted_plan": 1}
+    calls.clear()
+    report = score_all(paths_instance(), path_query(), "ces-ui")
+    assert {e.backend for e in report.entries} == {"brute"}
+    assert calls == {"lifted_rejections": 1}
+
+
 SUM_SCHEMA = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
 
 
