@@ -5,13 +5,14 @@ Supported query classes: Boolean conjunctive queries, unions of them, and
 scalar SUM/COUNT aggregates over a conjunctive body.  Query probability is
 computed either by brute-force world enumeration or, for self-join-free
 hierarchical BCQs on tuple-independent spaces, by lifted inference.  The
-lifted safe plan is built once per query and fact set and evaluated on any
-per-fact probability map with the same facts: it splits the atoms into
-components connected by unbound variables (independent, probabilities
-multiply), reads an atom whose variables are all bound off the map, and
-otherwise expands a root variable that occurs in every atom of its
-component over the values the facts offer, grouped by the values bound
-above it, combining those groundings as independent disjuncts.
+lifted safe plan is built once per query and fact set as a read-once
+formula over the facts, and evaluated on any per-fact probability map with
+the same facts: it splits the atoms into components connected by unbound
+variables (independent, probabilities multiply), binds the roots of a
+component (the variables in every atom of it) all at once to each tuple
+of values that every atom's facts offer, combining those groundings as
+independent disjuncts, and reads an atom whose variables are all bound off
+the map as one fact's leaf.
 
 Query grammar, one rule per line (``;`` also separates rules, ``#`` starts
 a comment)::
@@ -211,6 +212,9 @@ def _tokenize(text: str, line_no: int) -> list[_Token]:
     return tokens
 
 
+_MAX_BODY_ATOMS = 200  # the evaluators nest once per atom, within the recursion limit
+
+
 class _RuleParser:
     def __init__(self, tokens: list[_Token], line_no: int):
         self.tokens = tokens
@@ -265,6 +269,11 @@ class _RuleParser:
         atoms = [self.parse_atom()]
         while self.peek() is not None and self.peek().kind == "comma":
             self.pos += 1
+            if len(atoms) == _MAX_BODY_ATOMS:
+                raise self.error(
+                    f"a rule body takes at most {_MAX_BODY_ATOMS} atoms; "
+                    f"the evaluators recurse once per atom"
+                )
             atoms.append(self.parse_atom())
         if self.peek() is not None and self.peek().kind == "dot":
             self.pos += 1
@@ -501,7 +510,11 @@ def is_hierarchical(q: BCQ) -> bool:
 def hierarchy_violation(q: BCQ) -> tuple[str, str] | None:
     """The first variable pair breaking the hierarchy condition, or None."""
     occ = _atoms_of_vars(q)
-    names = sorted(occ)
+    # The first violating pair is a pair of first variables of atom sets.
+    firsts: dict[frozenset[int], str] = {}
+    for v in sorted(occ):
+        firsts.setdefault(occ[v], v)
+    names = sorted(firsts.values())
     for i, x in enumerate(names):
         for y in names[i + 1:]:
             ax, ay = occ[x], occ[y]
@@ -635,109 +648,93 @@ def _fact_probabilities(pdb: PDBSpace) -> FactMap:
     }
 
 
-# A lifted plan node's `probability(fact_probs, path)` reads a per-fact map
-# under a path: the values bound to the roots of the expansions above the
-# node, in binding order (empty at the plan's root).  Every atom below an
-# expansion holds its root, so each atom of a node holds every variable the
-# path binds.
+class _Fact:
+    """A leaf: the probability of one fact."""
 
-class _Ground:
-    """An atom whose variables are all bound: the probability of the one
-    fact it then names, if the facts hold it."""
-
-    def __init__(self, predicate: str, facts: dict[tuple, tuple]):
+    def __init__(self, predicate: str, args: tuple):
         self.predicate = predicate
-        self.facts = facts  # path -> the fact's arguments
+        self.args = args
 
-    def probability(self, fact_probs: FactMap, path: tuple = ()) -> Fraction:
-        args = self.facts.get(path)
-        if args is None:
-            return Fraction(0)
-        return fact_probs[self.predicate][args]
+    def probability(self, fact_probs: FactMap) -> Fraction:
+        return fact_probs[self.predicate][self.args]
 
 
-class _Product:
-    """Components connected by no unbound variable are independent, so
-    their probabilities multiply."""
+class _And:
+    """Independent components: their probabilities multiply."""
 
     def __init__(self, children: tuple):
         self.children = children
 
-    def probability(self, fact_probs: FactMap, path: tuple = ()) -> Fraction:
+    def probability(self, fact_probs: FactMap) -> Fraction:
         result = Fraction(1)
         for child in self.children:
-            result *= child.probability(fact_probs, path)
+            result *= child.probability(fact_probs)
         return result
 
 
-_NO_VALUES = frozenset()
+class _Or:
+    """Independent groundings of a component: it holds with probability
+    1 - prod(1 - P(grounding)), and fails with none."""
 
+    def __init__(self, children: tuple):
+        self.children = children
 
-class _Expand:
-    """A root variable that occurs in every atom of a component: the
-    groundings at its values touch disjoint facts, so the component holds
-    with probability 1 - prod(1 - P(grounding)).  The values are those that
-    every atom's facts offer under the path."""
-
-    def __init__(self, offers: tuple[dict[tuple, frozenset], ...], child):
-        self.offers = offers  # per atom: path -> the root values its facts offer
-        self.child = child
-
-    def probability(self, fact_probs: FactMap, path: tuple = ()) -> Fraction:
+    def probability(self, fact_probs: FactMap) -> Fraction:
         miss = Fraction(1)
-        offered = (offer.get(path, _NO_VALUES) for offer in self.offers)
-        for value in frozenset.intersection(*offered):
-            miss *= 1 - self.child.probability(fact_probs, path + (value,))
+        for child in self.children:
+            miss *= 1 - child.probability(fact_probs)
         return 1 - miss
 
 
-def _facts_by_path(
-    fact_probs: FactMap, atom: Atom, bound: tuple[str, ...]
-) -> Iterator[tuple[tuple, tuple, dict]]:
-    """(path, args, match) for each fact that unifies with the atom, so
-    that constants and repeated variables keep their meaning; the path is
-    the match's values of the bound variables."""
-    for args in fact_probs.get(atom.predicate, ()):
-        match = _unify(atom, args, {})
-        if match is not None:
-            yield tuple(match[v] for v in bound), args, match
+def _either(children: list):
+    """The disjunction of independent children; one child stands alone."""
+    return children[0] if len(children) == 1 else _Or(tuple(children))
 
 
 def _lifted_plan(fact_probs: FactMap, q: BCQ):
-    """The safe plan of a self-join-free hierarchical BCQ over the facts of
-    a per-fact map (`_fact_probabilities`), with each atom's root values
-    grouped by path.  Its `probability(m)` is P(q) under any map `m` that
-    holds the same facts, such as the map with some facts forced.
-    A component with no root variable is refused (`DichotomyError`)."""
+    """The safe plan of a self-join-free hierarchical BCQ as a read-once
+    formula over the facts of a per-fact map (`_fact_probabilities`): each
+    fact sits in at most one leaf, so the children of a node touch disjoint
+    facts.  Its `probability(m)` is P(q) under any map `m` that holds the
+    same facts, such as the map with some facts forced.  A component with
+    no root variable is refused (`DichotomyError`) once the facts ground
+    the roots above it; one they never reach adds no grounding."""
 
-    def build(atoms: tuple[Atom, ...], bound: tuple[str, ...]):
-        groups = _atom_groups(atoms, frozenset(bound))
-        if len(groups) != 1:
-            return _Product(tuple(
-                build(tuple(atoms[i] for i in group), bound) for group in groups
-            ))
-        free = [atom.variables.difference(bound) for atom in atoms]
-        if not free[0]:
-            (atom,) = atoms
-            return _Ground(atom.predicate, {
-                path: args for path, args, _ in _facts_by_path(fact_probs, atom, bound)
-            })
-        roots = sorted(free[0].intersection(*free[1:]))
-        if not roots:
-            raise DichotomyError(
-                "no variable occurs in every atom of a connected component; "
-                "the component is non-hierarchical"
-            )
-        root = roots[0]
-        offers = []
-        for atom in atoms:
-            offer: dict[tuple, set] = {}
-            for path, _, match in _facts_by_path(fact_probs, atom, bound):
-                offer.setdefault(path, set()).add(match[root])
-            offers.append({path: frozenset(values) for path, values in offer.items()})
-        return _Expand(tuple(offers), build(atoms, bound + (root,)))
+    def build(atoms: tuple[Atom, ...], facts: list, bound: frozenset[str]):
+        # facts[i]: the (args, match) pairs of atoms[i] under the bound values.
+        parts = []
+        for group in _atom_groups(atoms, bound):
+            free = [atoms[i].variables - bound for i in group]
+            roots = sorted(free[0].intersection(*free[1:]))
+            if not roots:
+                if len(group) > 1:
+                    raise DichotomyError(
+                        "no variable occurs in every atom of a connected component; "
+                        "the component is non-hierarchical"
+                    )
+                # An atom whose variables are all bound names one fact at most.
+                (i,) = group
+                parts.append(_either([_Fact(atoms[i].predicate, a) for a, _ in facts[i]]))
+                continue
+            # Bind every root at once: split each atom's facts by root values.
+            offers = []
+            for i in group:
+                offer: dict[tuple, list] = {}
+                for args, match in facts[i]:
+                    offer.setdefault(tuple(match[v] for v in roots), []).append((args, match))
+                offers.append(offer)
+            sub = tuple(atoms[i] for i in group)
+            parts.append(_either([
+                build(sub, [offer[values] for offer in offers], bound.union(roots))
+                for values in offers[0] if all(values in offer for offer in offers[1:])
+            ]))
+        return parts[0] if len(parts) == 1 else _And(tuple(parts))
 
-    return build(q.atoms, ())
+    facts = []
+    for atom in q.atoms:
+        pairs = ((a, _unify(atom, a, {})) for a in fact_probs.get(atom.predicate, ()))
+        facts.append([(args, match) for args, match in pairs if match is not None])
+    return build(q.atoms, facts, frozenset())
 
 
 # ---------------------------------------------------------------------------

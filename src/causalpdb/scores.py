@@ -196,14 +196,6 @@ def swing_sum(values, bit: int, weight=None) -> Fraction:
     return Fraction(total)
 
 
-def _shapley_weights(n: int) -> list[Fraction]:
-    total = math.factorial(n)
-    return [
-        Fraction(math.factorial(k) * math.factorial(n - k - 1), total)
-        for k in range(n)
-    ]
-
-
 def _swing_scores(
     source: Union[PDBSpace, InstanceStore], q: Query, kind: ScoreKind,
     tids: Sequence[str], cap: int | None = None,
@@ -217,17 +209,20 @@ def _swing_scores(
     values = worlds.value_table(q)
     n = len(worlds.order)
     weight = None  # Banzhaf and power weigh every swing alike
+    scale = Fraction(1, 1 << max(n - 1, 0)) if kind is ScoreKind.BANZHAF else 1
     if kind is ScoreKind.SHAPLEY:
-        # A weight per mask (a list lookup costs less than a call per
-        # swing); the full mask holds every bit, so no swing starts there.
-        shares = _shapley_weights(n)
+        # The weight |S|! (n-|S|-1)! / n! as an integer over the common
+        # denominator n!, so the sum adds integers and divides once.  One
+        # weight per mask (a list lookup costs less than a call per swing);
+        # the full mask holds every bit, so no swing starts there.
+        shares = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
         by_mask = [shares[mask.bit_count()] for mask in range(worlds.size - 1)]
         weight = by_mask.__getitem__
+        scale = Fraction(1, math.factorial(n))
     elif kind is ScoreKind.WEIGHTED_POWER:
         weight = worlds.mass_table(source).__getitem__
     elif kind is ScoreKind.GCES:
         masses = worlds.mass_table(source)
-    scale = Fraction(1, 1 << max(n - 1, 0)) if kind is ScoreKind.BANZHAF else 1
     scores = []
     for tid in tids:
         bit = 1 << worlds.bit[tid]

@@ -348,3 +348,53 @@ def random_hierarchical_sjf_bcq(rng: random.Random, max_atoms: int = 3) -> BCQ:
         q = random_bcq(rng, max_atoms)
         if is_self_join_free(q) and is_hierarchical(q):
             return q
+
+
+# ---------------------------------------------------------------------------
+# Inputs that nest one level per atom or per variable
+# ---------------------------------------------------------------------------
+
+def half_tid_document(schema: dict, facts) -> dict:
+    """The wire form of a TID with one endogenous tuple per (predicate,
+    args) fact, each at marginal 1/2."""
+    tids = [f"t{i}" for i in range(1, len(facts) + 1)]
+    return {
+        "schema": schema,
+        "tuples": [
+            {"tid": tid, "predicate": pred, "args": list(args), "kind": "endogenous"}
+            for tid, (pred, args) in zip(tids, facts)
+        ],
+        "marginals": dict.fromkeys(tids, "1/2"),
+    }
+
+
+def _chain_atom(i: int, prefix: str) -> list[str]:
+    return [f"{prefix}{j}" for j in range(1, i + 1)]
+
+
+def deep_inputs() -> dict[str, tuple[dict, str]]:
+    """(document, query text) pairs deeper than Python's recursion limit
+    at one frame per atom or per variable: a body of 1000 atoms ``R(X)``
+    over one tuple ``R(a)``; a chain of 450 atoms ``A_i(X1..Xi)`` with one
+    tuple ``A_i(c1..ci)`` each; and one 1500-ary atom over one tuple."""
+    chain = range(1, 451)
+    wide = range(1500)
+    return {
+        "long-body": (
+            half_tid_document({"R": 1}, [("R", ["a"])]),
+            "Q() :- " + ", ".join(["R(X)"] * 1000),
+        ),
+        "chain": (
+            half_tid_document(
+                {f"A{i}": i for i in chain},
+                [(f"A{i}", _chain_atom(i, "c")) for i in chain],
+            ),
+            "Q() :- " + ", ".join(
+                f"A{i}({','.join(_chain_atom(i, 'X'))})" for i in chain
+            ),
+        ),
+        "wide-atom": (
+            half_tid_document({"R": 1500}, [("R", [f"c{j}" for j in wide])]),
+            f"Q() :- R({','.join(f'X{j}' for j in wide)})",
+        ),
+    }

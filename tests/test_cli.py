@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from causalpdb.cli import build_parser, main
 
-from helpers import FIXTURES
+from helpers import FIXTURES, deep_inputs
 
 
 def run(capsys, *argv):
@@ -502,6 +503,44 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     code, out, err = _prob_on(tmp_path, capsys, "[" * 100000 + "]" * 100000)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {tmp_path / 'doc.json'}: invalid JSON (maximum recursion")
+
+
+def _write_deep_input(tmp_path, name):
+    doc, text = deep_inputs()[name]
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    (tmp_path / "q.q").write_text(text + "\n")
+    return tmp_path / "doc.json", tmp_path / "q.q"
+
+
+@pytest.mark.parametrize("name, command", [
+    ("long-body", ["prob", "--backend", "brute"]),
+    ("long-body", ["prob"]),
+    ("long-body", ["score", "--kind", "shapley"]),
+    ("long-body", ["score", "--kind", "ces-tid"]),
+    ("chain", ["prob"]),
+])
+def test_bodies_past_the_atom_limit_are_input_errors(tmp_path, capsys, name, command):
+    pdb, query = _write_deep_input(tmp_path, name)
+    code, out, err = run(capsys, *command, "--pdb", pdb, "--query", query)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1, column ")
+    assert err.endswith(
+        ": a rule body takes at most 200 atoms; the evaluators recurse once per atom\n"
+    )
+
+
+def test_a_wide_atom_takes_the_lifted_plan(tmp_path, capsys):
+    from causalpdb import load_pdb_file, load_query_file, query_probability
+
+    pdb, query = _write_deep_input(tmp_path, "wide-atom")
+    space = load_pdb_file(pdb).space
+    q = load_query_file(query, space.instance.schema)
+    assert query_probability(space, q) == query_probability(space, q, "brute") == Fraction(1, 2)
+    code, out, err = run(capsys, "prob", "--pdb", pdb, "--query", query)
+    assert (code, out, err) == (0, "P(Q) = 0.500000 (1/2) [lifted]\n", "")
+    code, out, err = run(capsys, "score", "--kind", "ces-ui", "--pdb", pdb, "--query", query)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split() == ["1", "t1", "1.000000", "1/1", "lifted"]
 
 
 def test_query_literal_past_the_digit_limit_is_input_error(tmp_path, capsys):

@@ -243,6 +243,9 @@ def test_hierarchical_examples():
     assert not is_hierarchical(q)
     assert hierarchy_violation(q) == ("X", "Y")
     assert is_hierarchical(parse_query("Q() :- R(X), S(X,X)"))
+    # A and Z occur in R and S, B and Y in S and T: the first pair is (A, B).
+    shared = parse_query("Q() :- R(A,Z), S(A,B,Z,Y), T(B,Y)")
+    assert hierarchy_violation(shared) == ("A", "B")
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,6 +413,12 @@ BINDING_CASES = {
         ("S", ("b", "b")), ("U", ("a", "b", "c")), ("U", ("a", "b", "d")),
         ("U", ("b", "b", "a")),
     ]),
+    # X and Y occur in every atom, so one expansion binds both.
+    "two-roots": ("Q() :- R(X,Y), S(Y,X,Z), T(X,Y)", [
+        ("R", ("a", "b")), ("R", ("b", "a")), ("S", ("b", "a", "c")),
+        ("S", ("b", "a", "d")), ("S", ("a", "b", "c")), ("S", ("c", "a", "a")),
+        ("T", ("a", "b")), ("T", ("b", "a")), ("T", ("a", "b")),
+    ]),
 }
 
 
@@ -437,6 +446,7 @@ def test_lifted_binding_recursion_matches_oracles(name):
 
     space, q = _binding_case(name)
     lifted = query_probability(space, q, "lifted")
+    assert lifted > 0
     assert lifted == query_probability(space, q, "brute")
     assert lifted == oracle_query_probability(space, q)
     report = score_all(space, q, "ces-tid")

@@ -322,6 +322,13 @@ def test_lifted_effects_of_target_pairs_match_the_oracle():
     assert shared_pairs >= 5
 
 
+def _leaf_facts(node) -> list:
+    """The fact of each leaf of a lifted plan, one entry per leaf."""
+    if hasattr(node, "children"):
+        return [fact for child in node.children for fact in _leaf_facts(child)]
+    return [(node.predicate, node.args)]
+
+
 def test_one_lifted_plan_serves_the_base_and_every_forced_map():
     from causalpdb.interventions import Intervention, intervene
     from causalpdb.queries import _fact_probabilities, _lifted_plan, query_probability
@@ -342,6 +349,8 @@ def test_one_lifted_plan_serves_the_base_and_every_forced_map():
         )
         base = _fact_probabilities(space)
         plan = _lifted_plan(base, q)
+        leaves = _leaf_facts(plan)
+        assert len(leaves) == len(set(leaves))  # read-once: one leaf per fact
         assert plan.probability(base) == query_probability(space, q, "brute")
         for tid in space.instance.endogenous_order:
             target = frozenset([tid])
