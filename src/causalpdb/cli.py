@@ -38,12 +38,11 @@ from .interventions import Intervention, intervene
 from .queries import (
     BCQ,
     DichotomyError,
+    _probability,
     components,
     hierarchy_violation,
     is_self_join_free,
     load_query_file,
-    lifted_rejections,
-    query_probability,
 )
 from .scores import ScoreKind, gces_oracle, score_all
 
@@ -169,19 +168,14 @@ def cmd_prob(args) -> int:
     cap = _resolve_cap(args)
     doc = _load(args)
     q = _load_query(args, doc)
-    backend = args.backend
-    resolved = backend
-    if backend in ("auto", "lifted"):
-        resolved = "lifted" if not lifted_rejections(doc.space, q) else "brute"
-    value = query_probability(doc.space, q, backend, cap)
+    value, backend = _probability(doc.space, q, args.backend, cap)
     _require_printable(value)
     if args.format == "json":
-        payload = {"probability": _frac_json(value), "backend": resolved}
-        _emit_json(payload)
+        _emit_json({"probability": _frac_json(value), "backend": backend})
     else:
         print(
             f"P(Q) = {fraction_to_decimal(value)} "
-            f"({value.numerator}/{value.denominator}) [{resolved}]"
+            f"({value.numerator}/{value.denominator}) [{backend}]"
         )
     return EXIT_OK
 

@@ -4,7 +4,12 @@ evaluation, structural analysis, and exact query probability.
 Supported query classes: Boolean conjunctive queries, unions of them, and
 scalar SUM/COUNT aggregates over a conjunctive body.  Query probability is
 computed either by brute-force world enumeration or, for self-join-free
-hierarchical BCQs on tuple-independent spaces, by lifted inference.  The
+hierarchical BCQs on tuple-independent spaces, by lifted inference.  One
+function, `_route`, chooses the backend for `query_probability`, the
+`prob` command and every causal effect: it returns the backend label and,
+on the lifted and closed-form (single-atom sum) routes, the validated
+per-fact map with the expectation that reads it.  The module is the only
+one that knows that map's layout (predicate -> args -> probability).  The
 lifted safe plan is built once per query and fact set as a read-once
 formula over the facts, and evaluated on any per-fact probability map with
 the same facts: it splits the atoms into components connected by unbound
@@ -31,8 +36,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     Constant,
@@ -188,16 +193,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line_no: int) -> list[_Token]:
-    tokens = []
+def _tokens(text: str, line_no: int) -> Iterator[re.Match]:
+    """The tokens of one rule, as matches whose `lastgroup` is the token
+    kind, read as the parser asks for them."""
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
@@ -205,114 +203,110 @@ def _tokenize(text: str, line_no: int) -> list[_Token]:
             raise QuerySyntaxError(
                 f"line {line_no}, column {pos + 1}: unexpected character {text[pos]!r}"
             )
-        kind = match.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, match.group(), line_no, pos + 1))
+        if match.lastgroup != "ws":
+            yield match
         pos = match.end()
-    return tokens
 
 
 _MAX_BODY_ATOMS = 200  # the evaluators nest once per atom, within the recursion limit
 
 
 class _RuleParser:
-    def __init__(self, tokens: list[_Token], line_no: int):
+    """Reads one rule with one token of lookahead, pulled as the previous
+    one is consumed, so a refused rule is not tokenized past the refusal."""
+
+    def __init__(self, tokens: Iterator[re.Match], line_no: int):
         self.tokens = tokens
         self.line_no = line_no
-        self.pos = 0
+        self.current = next(tokens, None)
 
     def error(self, message: str) -> QuerySyntaxError:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            where = f"line {tok.line}, column {tok.col}"
-        else:
-            where = f"line {self.line_no}, end of rule"
-        return QuerySyntaxError(f"{where}: {message}")
+        tok = self.current
+        where = "end of rule" if tok is None else f"column {tok.start() + 1}"
+        return QuerySyntaxError(f"line {self.line_no}, {where}: {message}")
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def at(self, kind: str) -> bool:
+        return self.current is not None and self.current.lastgroup == kind
 
-    def take(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+    def advance(self) -> str:
+        text = self.current.group()
+        self.current = next(self.tokens, None)
+        return text
+
+    def take(self, kind: str, what: str) -> str:
+        if not self.at(kind):
             raise self.error(f"expected {what}")
-        self.pos += 1
-        return tok
+        return self.advance()
 
     def parse_rule(self) -> tuple[str, tuple[str, Var | None], tuple[Atom, ...]]:
-        head_name = self.take("ident", "query name").text
+        head_name = self.take("ident", "query name")
         self.take("lp", "'('")
         head: tuple[str, Var | None] = ("boolean", None)
-        tok = self.peek()
-        if tok is not None and tok.kind == "ident":
-            if tok.text in (SUM, COUNT):
-                op = tok.text
-                self.pos += 1
-                self.take("lp", "'('")
-                target: Var | None = None
-                if op == SUM:
-                    name = self.take("ident", "aggregation variable").text
-                    if not name[0].isupper():
-                        raise self.error(
-                            f"aggregation target {name!r} must be a variable"
-                        )
-                    target = Var(name)
-                self.take("rp", "')'")
-                head = (op, target)
-            else:
+        if self.at("ident"):
+            op = self.current.group()
+            if op not in (SUM, COUNT):
                 raise self.error(
                     f"free variables are not supported; head must be (), "
-                    f"(sum(V)) or (count()), got {tok.text!r}"
+                    f"(sum(V)) or (count()), got {op!r}"
                 )
+            self.advance()
+            self.take("lp", "'('")
+            target: Var | None = None
+            if op == SUM:
+                name = self.take("ident", "aggregation variable")
+                if not name[0].isupper():
+                    raise self.error(
+                        f"aggregation target {name!r} must be a variable"
+                    )
+                target = Var(name)
+            self.take("rp", "')'")
+            head = (op, target)
         self.take("rp", "')'")
         self.take("arrow", "':-'")
         atoms = [self.parse_atom()]
-        while self.peek() is not None and self.peek().kind == "comma":
-            self.pos += 1
+        while self.at("comma"):
+            self.advance()
             if len(atoms) == _MAX_BODY_ATOMS:
                 raise self.error(
                     f"a rule body takes at most {_MAX_BODY_ATOMS} atoms; "
                     f"the evaluators recurse once per atom"
                 )
             atoms.append(self.parse_atom())
-        if self.peek() is not None and self.peek().kind == "dot":
-            self.pos += 1
-        if self.peek() is not None:
-            raise self.error(f"unexpected token {self.peek().text!r}")
+        if self.at("dot"):
+            self.advance()
+        if self.current is not None:
+            raise self.error(f"unexpected token {self.current.group()!r}")
         return head_name, head, tuple(atoms)
 
     def parse_atom(self) -> Atom:
-        pred = self.take("ident", "relation name").text
+        pred = self.take("ident", "relation name")
         self.take("lp", "'('")
         terms: list[Term] = []
-        if self.peek() is not None and self.peek().kind != "rp":
+        if self.current is not None and not self.at("rp"):
             terms.append(self.parse_term())
-            while self.peek() is not None and self.peek().kind == "comma":
-                self.pos += 1
+            while self.at("comma"):
+                self.advance()
                 terms.append(self.parse_term())
         self.take("rp", "')'")
         return Atom(pred, tuple(terms))
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok is None:
+        if self.current is None:
             raise self.error("expected a term")
-        if tok.kind == "number":
+        kind, text = self.current.lastgroup, self.current.group()
+        if kind == "number":
             try:
-                value = Fraction(tok.text)
+                value = Fraction(text)
             except ValueError as exc:  # past the 4300-digit int limit
                 raise self.error(f"cannot read number: {exc}") from None
-            self.pos += 1
+            self.advance()
             return value
-        self.pos += 1
-        if tok.kind == "string":
-            return tok.text[1:-1]
-        if tok.kind == "ident":
-            if tok.text[0].isupper():
-                return Var(tok.text)
-            return tok.text
-        self.pos -= 1
-        raise self.error(f"expected a term, got {tok.text!r}")
+        if kind not in ("string", "ident"):
+            raise self.error(f"expected a term, got {text!r}")
+        self.advance()
+        if kind == "string":
+            return text[1:-1]
+        return Var(text) if text[0].isupper() else text
 
 
 def parse_query(
@@ -324,10 +318,9 @@ def parse_query(
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
         for piece in line.split(";"):
-            tokens = _tokenize(piece, line_no)
-            if not tokens:
-                continue
-            rules.append(_RuleParser(tokens, line_no).parse_rule())
+            parser = _RuleParser(_tokens(piece, line_no), line_no)
+            if parser.current is not None:
+                rules.append(parser.parse_rule())
     if not rules:
         raise QuerySyntaxError("no query rule found")
     names = {name for name, _, _ in rules}
@@ -568,6 +561,11 @@ def components(q: BCQ) -> ComponentPartition:
 # Query probability
 # ---------------------------------------------------------------------------
 
+BRUTE = "brute"
+LIFTED = "lifted"
+CLOSED_FORM = "closed-form"
+
+
 def lifted_rejections(pdb: PDBSpace, q: Query) -> list[str]:
     """Why the lifted backend cannot run; empty means eligible."""
     reasons = []
@@ -577,15 +575,13 @@ def lifted_rejections(pdb: PDBSpace, q: Query) -> list[str]:
         reasons.append("the query is a union, outside the hierarchical BCQ class")
     elif not isinstance(q, BCQ):
         reasons.append(f"the query is not a BCQ ({type(q).__name__})")
-    else:
-        if not is_self_join_free(q):
-            reasons.append("the query has self-joins, outside the dichotomy's scope")
-        elif not is_hierarchical(q):
-            pair = hierarchy_violation(q)
-            reasons.append(
-                f"the query is non-hierarchical (variables {pair[0]} and {pair[1]} "
-                f"overlap without containment), so exact evaluation is #P-hard"
-            )
+    elif not is_self_join_free(q):
+        reasons.append("the query has self-joins, outside the dichotomy's scope")
+    elif (pair := hierarchy_violation(q)) is not None:
+        reasons.append(
+            f"the query is non-hierarchical (variables {pair[0]} and {pair[1]} "
+            f"overlap without containment), so exact evaluation is #P-hard"
+        )
     return reasons
 
 
@@ -594,39 +590,82 @@ def query_probability(
 ) -> Probability:
     """Exact probability that a monotone Boolean query holds.
 
-    ``brute`` sums masses over the enumerated worlds; ``lifted`` runs the
-    safe-plan recursion and requires a self-join-free hierarchical BCQ on a
-    tuple-independent space; ``auto`` picks lifted when eligible.  Both
-    refuse an invalid space (`InvalidSpaceError`).
+    ``brute`` sums masses over the enumerated worlds; ``lifted`` evaluates
+    the ground read-once safe plan and requires a self-join-free
+    hierarchical BCQ on a tuple-independent space; ``auto`` picks lifted
+    when eligible (`_route`).  Both refuse an invalid space
+    (`InvalidSpaceError`).
     """
+    return _probability(pdb, q, backend, cap)[0]
+
+
+def _probability(
+    pdb: PDBSpace, q: Query, backend: str, cap: int | None
+) -> tuple[Probability, str]:
+    """P(q) and the label of the route that computed it."""
     if isinstance(q, Aggregate):
         raise InputError("aggregate queries have expectations, not probabilities")
-    if backend not in ("auto", "brute", "lifted"):
-        raise InputError(f"unknown backend {backend!r}")
-    reasons = lifted_rejections(pdb, q)
-    if backend == "lifted" and reasons:
-        raise DichotomyError("; ".join(reasons))
-    if backend == "brute" or (backend == "auto" and reasons):
-        total = Fraction(0)
-        for world, mass in enumerate_worlds(pdb, cap):
-            if evaluate(q, pdb.instance, world):
-                total += mass
-        return Probability(total)
-    fact_probs = _fact_probabilities(pdb)
-    return Probability(_lifted_plan(fact_probs, q).probability(fact_probs))
+    route = _route(pdb, q, backend)
+    if route.expectation is None:
+        return Probability(_world_sum(pdb, q, cap)), route.backend
+    return Probability(route.expectation(route.fact_probs)), route.backend
 
 
 def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fraction:
     """Exact expectation of a scalar aggregate by world enumeration."""
     if not isinstance(q, Aggregate):
         raise InputError("expected_value takes an aggregate query")
+    return _world_sum(pdb, q, cap)
+
+
+def _world_sum(pdb: PDBSpace, q: Query, cap: int | None) -> Fraction:
+    """E(q) over the enumerated worlds; a Boolean query evaluates to 0 or
+    1, so its sum is P(q)."""
     total = Fraction(0)
     for world, mass in enumerate_worlds(pdb, cap):
-        total += mass * evaluate(q, pdb.instance, world)
+        value = evaluate(q, pdb.instance, world)
+        if value:
+            total += mass * value
     return total
 
 
 FactMap = dict[str, dict[tuple, Fraction]]  # predicate -> args -> P(fact)
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How a query's expectations on a space are computed: the backend
+    label and, on the lifted and closed-form routes, the validated per-fact
+    map with the expectation that reads it (or a copy of it with some facts
+    forced, `_forced`).  The world route has neither."""
+
+    backend: str
+    fact_probs: FactMap | None = None
+    expectation: Callable[[FactMap], Fraction] | None = None
+
+
+def _route(pdb: PDBSpace, q: Query, backend: str = "auto") -> _Route:
+    """The one place a backend is chosen.  ``brute`` classifies nothing and
+    takes world sums.  ``lifted`` builds the safe plan once from the
+    space's fact map, and raises `DichotomyError` for a query outside its
+    class.  ``auto`` takes that plan for a query in the class, the closed
+    form for a single-atom sum on an independent space, and world sums
+    otherwise."""
+    if backend not in ("auto", BRUTE, LIFTED):
+        raise InputError(f"unknown backend {backend!r}")
+    if backend == BRUTE:
+        return _Route(BRUTE)
+    if backend == "auto" and isinstance(q, Aggregate):
+        if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
+            return _Route(CLOSED_FORM, _fact_probabilities(pdb), partial(_closed_form_sum, q))
+        return _Route(BRUTE)
+    reasons = lifted_rejections(pdb, q)
+    if reasons:
+        if backend == LIFTED:
+            raise DichotomyError("; ".join(reasons))
+        return _Route(BRUTE)
+    fact_probs = _fact_probabilities(pdb)
+    return _Route(LIFTED, fact_probs, _lifted_plan(fact_probs, q).probability)
 
 
 def _fact_probabilities(pdb: PDBSpace) -> FactMap:
@@ -646,6 +685,49 @@ def _fact_probabilities(pdb: PDBSpace) -> FactMap:
         pred: {args: 1 - q for args, q in entries.items()}
         for pred, entries in absent.items()
     }
+
+
+def _forced(
+    pdb: PDBSpace, fact_probs: FactMap, targets: frozenset[str], present: bool
+) -> FactMap:
+    """The per-fact map of an independent space after do(targets in) or
+    do(targets out): only the targets' facts change.  Forced in, such a
+    fact holds surely; forced out, it holds iff a carrier outside the
+    targets does, so its probability is 1 - prod(1 - p) over those
+    carriers (1 with an exogenous carrier, 0 with none)."""
+    facts = {pdb.instance.record(tid).fact for tid in targets}
+    if present:
+        changed = dict.fromkeys(facts, Fraction(1))
+    else:
+        marginals = pdb.representation.marginals
+        absent = dict.fromkeys(facts, Fraction(1))
+        for rec in pdb.instance.records():
+            if rec.fact in absent and rec.tid not in targets:
+                absent[rec.fact] *= 1 - marginals[rec.tid]
+        changed = {fact: 1 - a for fact, a in absent.items()}
+    forced = dict(fact_probs)
+    for (pred, args), p in changed.items():
+        forced[pred] = {**forced[pred], args: p}
+    return forced
+
+
+def _closed_form_sum(q: Aggregate, fact_probs: FactMap) -> Fraction:
+    """E(sum) for a single-atom body on an independent space, given its
+    per-fact probabilities: each matching fact contributes its target
+    value times its presence probability."""
+    atom = q.atoms[0]
+    total = Fraction(0)
+    for args, p in fact_probs.get(atom.predicate, {}).items():
+        binding = _unify(atom, args, {})
+        if binding is None:
+            continue
+        value = binding[q.target.name]
+        if not isinstance(value, Fraction):
+            raise InputError(
+                f"non-numeric value {value!r} at aggregation target {q.target}"
+            )
+        total += value * p
+    return total
 
 
 class _Fact:

@@ -8,8 +8,9 @@ for Boolean queries these are intervened probabilities.  On a
 tuple-independent space an intervention changes only the probabilities of
 the targets' facts, so self-join-free hierarchical BCQs (the lifted
 evaluator) and single-atom sums (a closed form) read one validated per-fact
-map with those facts forced, and no intervened space is built; `score_all`
-chooses the route and builds that map, and the lifted plan that reads it,
+map with those facts forced, and no intervened space is built.  The route
+comes from `queries._route`, the one place a backend is chosen; `score_all`
+asks for it once, so the map and the lifted plan that reads it are built
 once for all its tuples.  Every other case sums over worlds.
 
 Every subset score is one weighted swing sum over one value table
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .core import (
     DEFAULT_WORLD_CAP,
@@ -54,18 +55,15 @@ from .interventions import (
 )
 from .queries import (
     BCQ,
-    SUM,
+    BRUTE,
     UBCQ,
-    Aggregate,
-    FactMap,
     Query,
-    _fact_probabilities,
+    _forced,
     _homomorphism_images,
-    _lifted_plan,
-    _unify,
+    _Route,
+    _route,
     evaluate,
     is_boolean,
-    lifted_rejections,
     query_probability,
     query_text,
 )
@@ -73,10 +71,6 @@ from .queries import (
 #: Cap on endogenous tuples for subset-enumeration scores (shared with the
 #: world-enumeration cap).
 DEFAULT_SUBSET_CAP = DEFAULT_WORLD_CAP
-
-BRUTE = "brute"
-LIFTED = "lifted"
-CLOSED_FORM = "closed-form"
 
 
 class ScoreKind(str, Enum):
@@ -255,93 +249,20 @@ def delta(
 # Causal effect
 # ---------------------------------------------------------------------------
 
-def _closed_form_sum(fact_probs: FactMap, q: Aggregate) -> Fraction:
-    """E(sum) for a single-atom body on an independent space, given its
-    per-fact probabilities: each matching fact contributes its target
-    value times its presence probability."""
-    atom = q.atoms[0]
-    total = Fraction(0)
-    for args, p in fact_probs.get(atom.predicate, {}).items():
-        binding = _unify(atom, args, {})
-        if binding is None:
-            continue
-        value = binding[q.target.name]
-        if not isinstance(value, Fraction):
-            raise InputError(
-                f"non-numeric value {value!r} at aggregation target {q.target}"
-            )
-        total += value * p
-    return total
-
-
-@dataclass(frozen=True)
-class _Route:
-    """How a space's causal effects are computed: the backend label and, on
-    the lifted and closed-form routes, the validated per-fact map with the
-    expectation that reads it (or a copy of it with some facts forced)."""
-
-    backend: str
-    fact_probs: FactMap | None = None
-    expectation: Callable[[FactMap], Fraction] | None = None
-
-
-def _causal_route(pdb: PDBSpace, q: Query) -> _Route:
-    """The route of a causal effect: a lifted plan, built once from the
-    space's fact map, for lifted-class Boolean queries, and the closed form
-    for single-atom sums, both on independent spaces; world sums
-    otherwise."""
-    if is_boolean(q):
-        if lifted_rejections(pdb, q):
-            return _Route(BRUTE)
-        fact_probs = _fact_probabilities(pdb)
-        return _Route(LIFTED, fact_probs, _lifted_plan(fact_probs, q).probability)
-    assert isinstance(q, Aggregate)
-    if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
-        return _Route(
-            CLOSED_FORM, _fact_probabilities(pdb),
-            lambda probs: _closed_form_sum(probs, q),
-        )
-    return _Route(BRUTE)
-
-
-def _forced(
-    pdb: PDBSpace, fact_probs: FactMap, targets: frozenset[str], present: bool
-) -> FactMap:
-    """The per-fact map of an independent space after do(targets in) or
-    do(targets out): only the targets' facts change.  Forced in, such a
-    fact holds surely; forced out, it holds iff a carrier outside the
-    targets does, so its probability is 1 - prod(1 - p) over those
-    carriers (1 with an exogenous carrier, 0 with none)."""
-    facts = {pdb.instance.record(tid).fact for tid in targets}
-    if present:
-        changed = dict.fromkeys(facts, Fraction(1))
-    else:
-        marginals = pdb.representation.marginals
-        absent = dict.fromkeys(facts, Fraction(1))
-        for rec in pdb.instance.records():
-            if rec.fact in absent and rec.tid not in targets:
-                absent[rec.fact] *= 1 - marginals[rec.tid]
-        changed = {fact: 1 - a for fact, a in absent.items()}
-    forced = dict(fact_probs)
-    for (pred, args), p in changed.items():
-        forced[pred] = {**forced[pred], args: p}
-    return forced
-
-
 def _causal_effect(
     pdb: PDBSpace, q: Query, targets: frozenset[str], cap: int | None = None,
     route: _Route | None = None,
 ) -> tuple[Fraction, str]:
     """A target set's causal effect and the backend that computed it.  The
-    route is chosen here, or passed in by a caller scoring many target
-    sets; the lifted and closed-form routes read the route's per-fact map
-    with the targets' facts forced, and the world route sums over the base
-    worlds."""
+    route (`_route`) is chosen here, or passed in by a caller scoring many
+    target sets; the lifted and closed-form routes read the route's
+    per-fact map with the targets' facts forced, and the world route sums
+    over the base worlds."""
     if not targets:
         raise InputError("causal effect needs a nonempty target set")
     pdb.instance.require_endogenous(targets)
     if route is None:
-        route = _causal_route(pdb, q)
+        route = _route(pdb, q)
     if route.backend is not BRUTE:
         e_in = route.expectation(_forced(pdb, route.fact_probs, targets, True))
         e_out = route.expectation(_forced(pdb, route.fact_probs, targets, False))
@@ -605,7 +526,7 @@ def score_all(
         else:
             space = source
         # One route, with its fact map and lifted plan, serves every tuple.
-        route = _causal_route(space, q) if tids else None
+        route = _route(space, q) if tids else None
         for tid in tids:
             value, backend = _causal_effect(space, q, frozenset([tid]), cap, route)
             positive = value > 0 if kind is ScoreKind.CES_UI else None

@@ -57,6 +57,32 @@ def test_rank_orders_by_value(capsys):
     assert rows == ["t4", "t3", "t2"]
 
 
+@pytest.mark.parametrize("backend, label, calls", [
+    ("auto", "lifted", {"lifted_rejections": 1, "_lifted_plan": 1}),
+    ("lifted", "lifted", {"lifted_rejections": 1, "_lifted_plan": 1}),
+    ("brute", "brute", {}),
+])
+def test_prob_classifies_the_query_at_most_once(monkeypatch, capsys, backend, label, calls):
+    from causalpdb import cli, queries, scores
+
+    seen = {}
+    for name in ("lifted_rejections", "_lifted_plan"):
+        def counting(*args, _name=name, _original=getattr(queries, name)):
+            seen[_name] = seen.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (cli, queries, scores):  # every module that binds the name
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    code, out, err = run(
+        capsys, "prob", "--backend", backend,
+        "--pdb", FIXTURES / "two_component_tid.json",
+        "--query", FIXTURES / "two_component_query.q",
+    )
+    assert (code, err) == (0, "") and out.endswith(f"[{label}]\n")
+    assert seen == calls
+
+
 def test_validate_valid_space(capsys):
     code, out, _ = run(capsys, "validate", "--pdb", FIXTURES / "four_worlds_pdb.json")
     assert code == 0

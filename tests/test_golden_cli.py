@@ -1,9 +1,10 @@
-"""Golden outputs of the causal-effect commands: exit code, stdout and
-stderr of `score --kind gces|ces-tid|ces-ui` and `oracle-compare --tuple
-<first endogenous tid>`, in both formats, for every fixture document and
-query file.  The test replays every recorded invocation in-process through
-`cli.main` and requires byte-identical results, so a change to the engines
-that moves any digit, label or message shows up here.
+"""Golden outputs of the commands that choose a backend: exit code, stdout
+and stderr of `prob --backend auto|brute|lifted`, `score --kind
+gces|ces-tid|ces-ui` and `oracle-compare --tuple <first endogenous tid>`,
+in both formats, for every fixture document and query file.  The test
+replays every recorded invocation in-process through `cli.main` and
+requires byte-identical results, so a change to the engines that moves any
+digit, label or message shows up here.
 
 Regenerate the file (the only way to change it) by running this module as
 a script from the repository root:
@@ -39,7 +40,8 @@ def invocations() -> list[list[str]]:
         tid = _first_endogenous(doc)
         for query in sorted((ROOT / "fixtures").glob("*.q")):
             files = ["--pdb", f"fixtures/{doc.name}", "--query", f"fixtures/{query.name}"]
-            commands = [["score", "--kind", kind] for kind in ("gces", "ces-tid", "ces-ui")]
+            commands = [["prob", "--backend", b] for b in ("auto", "brute", "lifted")]
+            commands += [["score", "--kind", kind] for kind in ("gces", "ces-tid", "ces-ui")]
             if tid is not None:
                 commands.append(["oracle-compare", "--tuple", tid])
             for command in commands:

@@ -91,6 +91,20 @@ def test_syntax_error_carries_position():
         parse_query("Q() :- R(X) %")
 
 
+def test_an_over_long_body_is_refused_before_the_rest_of_the_line_is_read():
+    body = ", ".join(f"R{i}(X)" for i in range(201))
+    with pytest.raises(QuerySyntaxError) as refused:
+        parse_query(f"Q() :- {body} $")
+    assert str(refused.value) == (
+        "line 1, column 1698: a rule body takes at most 200 atoms; "
+        "the evaluators recurse once per atom"
+    )
+    for text, column in (("$", 1), ("Q() :- R(X) $", 13), ("Q() :- R(X), $ S(Y)", 14)):
+        with pytest.raises(QuerySyntaxError) as refused:
+            parse_query(text)
+        assert str(refused.value) == f"line 1, column {column}: unexpected character '$'"
+
+
 def test_free_variables_rejected():
     with pytest.raises(QuerySyntaxError, match="free variables"):
         parse_query("Q(X) :- R(X)")

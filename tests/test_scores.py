@@ -30,6 +30,7 @@ from causalpdb import (
     total_power,
     weighted_power,
 )
+from causalpdb import queries as queries_module
 from causalpdb import scores as scores_module
 from causalpdb.queries import Var, evaluate
 from causalpdb.scores import EndoWorlds, _causal_effect
@@ -331,8 +332,7 @@ def _leaf_facts(node) -> list:
 
 def test_one_lifted_plan_serves_the_base_and_every_forced_map():
     from causalpdb.interventions import Intervention, intervene
-    from causalpdb.queries import _fact_probabilities, _lifted_plan, query_probability
-    from causalpdb.scores import _forced
+    from causalpdb.queries import _fact_probabilities, _forced, _lifted_plan, query_probability
 
     rng = random.Random(41)
     seen = {"constant": 0, "repeated variable": 0, "nonzero effect": 0}
@@ -381,7 +381,7 @@ def _count_calls(monkeypatch, module, *names):
 def test_score_all_chooses_the_route_and_builds_the_plan_once(monkeypatch):
     from helpers import two_component_query, two_component_space
 
-    calls = _count_calls(monkeypatch, scores_module, "lifted_rejections", "_lifted_plan")
+    calls = _count_calls(monkeypatch, queries_module, "lifted_rejections", "_lifted_plan")
     space = two_component_space()
     q = two_component_query(space.instance.schema)
     for source, kind in ((space, "ces-tid"), (space, "gces"), (space.instance, "ces-ui")):
