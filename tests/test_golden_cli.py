@@ -1,7 +1,8 @@
-"""Golden outputs of the commands that choose a backend: exit code, stdout
-and stderr of `prob --backend auto|brute|lifted`, `score --kind
-gces|ces-tid|ces-ui` and `oracle-compare --tuple <first endogenous tid>`,
-in both formats, for every fixture document and query file.  The test
+"""Golden outputs of the scoring commands: exit code, stdout and stderr of
+`prob --backend auto|brute|lifted`, `score --kind
+gces|ces-tid|ces-ui|shapley|banzhaf|power|weighted-power` and
+`oracle-compare --tuple <first endogenous tid>`, in both formats, for every
+fixture document and query file.  The test
 replays every recorded invocation in-process through `cli.main` and
 requires byte-identical results, so a change to the engines that moves any
 digit, label or message shows up here.
@@ -41,7 +42,13 @@ def invocations() -> list[list[str]]:
         for query in sorted((ROOT / "fixtures").glob("*.q")):
             files = ["--pdb", f"fixtures/{doc.name}", "--query", f"fixtures/{query.name}"]
             commands = [["prob", "--backend", b] for b in ("auto", "brute", "lifted")]
-            commands += [["score", "--kind", kind] for kind in ("gces", "ces-tid", "ces-ui")]
+            commands += [
+                ["score", "--kind", kind]
+                for kind in (
+                    "gces", "ces-tid", "ces-ui",
+                    "shapley", "banzhaf", "power", "weighted-power",
+                )
+            ]
             if tid is not None:
                 commands.append(["oracle-compare", "--tuple", tid])
             for command in commands:
