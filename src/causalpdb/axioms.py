@@ -45,11 +45,12 @@ from .queries import (
 from .scores import (
     EndoWorlds,
     ScoreKind,
+    _pack,
+    _swing_scorer,
     _swing_scores,
     banzhaf,
     causal_effect,
     shapley,
-    swing_sum,
     total_power,
 )
 
@@ -166,16 +167,14 @@ def check_sym(
     score equally."""
     _require_boolean(q)
     worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
-    values = worlds.value_table(q)
+    table = _pack(worlds.value_table(q))
     witnesses = []
     scores: dict[str, Fraction] = {}
     for ta, tb in itertools.combinations(worlds.order, 2):
         ba, bb = 1 << worlds.bit[ta], 1 << worlds.bit[tb]
-        if any(
-            values[mask | ba] != values[mask | bb]
-            for mask in range(worlds.size)
-            if not mask & (ba | bb)
-        ):
+        # Some subset without either tuple tells them apart.
+        without = worlds.lacking(ba) & worlds.lacking(bb)
+        if ((table >> ba) ^ (table >> bb)) & without:
             continue
         for tid in (ta, tb):
             if tid not in scores:
@@ -224,21 +223,15 @@ def check_g_sym(
     score minus weighted power must coincide."""
     _require_boolean(q)
     worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
-    values = worlds.value_table(q)
-    masses = worlds.mass_table(pdb)
-
-    def weighted(tid: str) -> Fraction:
-        return swing_sum(values, 1 << worlds.bit[tid], masses.__getitem__)
-
+    table = _pack(worlds.value_table(q))
+    weighted = _swing_scorer(worlds, table, ScoreKind.WEIGHTED_POWER, worlds.mass_table(pdb))
     witnesses = []
     adjusted: dict[str, Fraction] = {}
     for ta, tb in itertools.combinations(worlds.order, 2):
         ba, bb = 1 << worlds.bit[ta], 1 << worlds.bit[tb]
-        if any(
-            values[mask | ba] != values[mask] or values[mask | bb] != values[mask]
-            for mask in range(worlds.size)
-            if not mask & (ba | bb)
-        ):
+        # Either tuple swings some subset without both.
+        without = worlds.lacking(ba) & worlds.lacking(bb)
+        if (((table >> ba) ^ table) | ((table >> bb) ^ table)) & without:
             continue
         for tid in (ta, tb):
             if tid not in adjusted:

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import compress
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
     DEFAULT_WORLD_CAP,
@@ -130,7 +131,7 @@ class EndoWorlds:
         if isinstance(q, (BCQ, UBCQ)):
             table = self._lineage_table(q)
             if table is not None:
-                return table
+                return list(_unpack(table, self.size))
         table = [None] * self.size
         monotone = is_boolean(q)
         for mask in range(self.size):
@@ -142,19 +143,24 @@ class EndoWorlds:
             table[mask] = evaluate(q, self.instance, self.world(mask))
         return table
 
-    def _lineage_table(self, q: BCQ | UBCQ) -> list[int] | None:
-        table = [0] * self.size
+    def _lineage_table(self, q: BCQ | UBCQ) -> int | None:
+        """The packed value table (bit W set iff W satisfies the query),
+        or None past one image per mask."""
+        table = 0
         images = _homomorphism_images(self.instance, q)
         for count, image in enumerate(images, start=1):
             if count > self.size:
                 return None
-            table[self.mask_of(image & self.instance.endogenous)] = 1
-        bits = [1 << i for i in range(len(self.order))]
-        for mask in range(self.size):  # increasing, so subsets come first
-            if table[mask]:
-                for bit in bits:
-                    table[mask | bit] = 1
+            table |= 1 << self.mask_of(image & self.instance.endogenous)
+        for i in range(len(self.order)):  # close upward, one tuple at a time
+            bit = 1 << i
+            table |= (table & self.lacking(bit)) << bit
         return table
+
+    def lacking(self, bit: int) -> int:
+        """The masks without ``bit``, as one integer: runs of ``bit`` set
+        bits alternating with runs of ``bit`` clear ones."""
+        return ((1 << self.size) - 1) // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
 
     def mass_table(self, pdb: PDBSpace) -> list[Fraction]:
         """p(W union D_ex) for every endogenous subset W."""
@@ -177,10 +183,25 @@ class EndoWorlds:
         return table
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(values: Sequence[int]) -> int:
+    """A 0/1 value table as one integer: bit S holds ``values[S]``."""
+    return int(bytes(values[::-1]).translate(_DIGITS), 2)
+
+
+def _unpack(table: int, size: int) -> bytes:
+    """The first ``size`` bits of a packed table, one 0/1 byte per mask."""
+    return format(table, f"0{size}b")[::-1].encode().translate(_BITS)
+
+
 def swing_sum(values, bit: int, weight=None) -> Fraction:
     """Sum of the swings ``values[S | bit] - values[S]`` over the masks S
     without ``bit``, each nonzero swing multiplied by ``weight(S)`` when a
-    weight is given."""
+    weight is given.  Only aggregate tables come here; Boolean tables are
+    packed and summed by `_swing_scorer`."""
     total = 0
     for high in range(0, len(values), bit << 1):
         for mask in range(high, high + bit):
@@ -188,6 +209,74 @@ def swing_sum(values, bit: int, weight=None) -> Fraction:
             if swing:
                 total += swing if weight is None else swing * weight(mask)
     return Fraction(total)
+
+
+def _levels(n: int) -> list[int]:
+    """``levels[k]`` packs the masks of k bits among n."""
+    levels = [1]
+    for i in range(n):
+        high = [0] + [level << (1 << i) for level in levels]
+        levels = [low | up for low, up in zip(levels + [0], high)]
+    return levels
+
+
+def _swing_scorer(
+    worlds: EndoWorlds, table: int | list, kind: ScoreKind,
+    masses: list[Fraction] | None = None,
+) -> Callable[[str], Fraction]:
+    """The score of one tuple for a subset-enumeration kind (GCES meaning
+    its subset form) over one value table and, for the mass-weighted kinds,
+    one mass table.
+
+    A Boolean table comes packed into one integer T (`_pack`), bit S set
+    iff Q holds on S.  For tuple bit b, the masks S without b that b swings
+    up are ``(T >> b) & ~T`` and those it swings down ``T & ~(T >> b)``,
+    both restricted to the masks without b; a score weighs the first set
+    minus the second.  An aggregate table comes as the list and goes
+    through `swing_sum`."""
+    n = len(worlds.order)
+    scale = Fraction(1, 1 << max(n - 1, 0)) if kind is ScoreKind.BANZHAF else 1
+    if kind is ScoreKind.SHAPLEY:
+        # The weight |S|! (n-|S|-1)! / n! as an integer over the common
+        # denominator n!, so the sum adds integers and divides once.
+        shares = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
+        scale = Fraction(1, math.factorial(n))
+    if isinstance(table, list):
+        def score(tid: str) -> Fraction:
+            bit = 1 << worlds.bit[tid]
+            weight = None  # Banzhaf and power weigh every swing alike
+            if kind is ScoreKind.SHAPLEY:
+                weight = lambda mask: shares[mask.bit_count()]
+            elif kind is ScoreKind.WEIGHTED_POWER:
+                weight = masses.__getitem__
+            elif kind is ScoreKind.GCES:
+                weight = lambda mask: masses[mask] + masses[mask | bit]
+            return swing_sum(table, bit, weight) * scale
+        return score
+
+    def mass(swings: int) -> Fraction:
+        return sum(compress(masses, _unpack(swings, worlds.size))) if swings else 0
+
+    if kind is ScoreKind.SHAPLEY:
+        levels = _levels(n)
+        weigh = lambda swings, bit: sum(
+            share * (swings & level).bit_count() for share, level in zip(shares, levels)
+        )
+    elif kind is ScoreKind.WEIGHTED_POWER:
+        weigh = lambda swings, bit: mass(swings)
+    elif kind is ScoreKind.GCES:  # p(S) + p(S + t): the swings and their shifts
+        weigh = lambda swings, bit: mass(swings | swings << bit)
+    else:
+        weigh = lambda swings, bit: swings.bit_count()
+
+    def packed_score(tid: str) -> Fraction:
+        bit = 1 << worlds.bit[tid]
+        lacking = worlds.lacking(bit)
+        shifted = table >> bit
+        up = shifted & ~table & lacking
+        down = table & ~shifted & lacking
+        return Fraction(weigh(up, bit) - weigh(down, bit)) * scale
+    return packed_score
 
 
 def _swing_scores(
@@ -200,30 +289,14 @@ def _swing_scores(
     instance = _instance_of(source)
     instance.require_endogenous(tids)
     worlds = EndoWorlds(instance, cap)
-    values = worlds.value_table(q)
-    n = len(worlds.order)
-    weight = None  # Banzhaf and power weigh every swing alike
-    scale = Fraction(1, 1 << max(n - 1, 0)) if kind is ScoreKind.BANZHAF else 1
-    if kind is ScoreKind.SHAPLEY:
-        # The weight |S|! (n-|S|-1)! / n! as an integer over the common
-        # denominator n!, so the sum adds integers and divides once.  One
-        # weight per mask (a list lookup costs less than a call per swing);
-        # the full mask holds every bit, so no swing starts there.
-        shares = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
-        by_mask = [shares[mask.bit_count()] for mask in range(worlds.size - 1)]
-        weight = by_mask.__getitem__
-        scale = Fraction(1, math.factorial(n))
-    elif kind is ScoreKind.WEIGHTED_POWER:
-        weight = worlds.mass_table(source).__getitem__
-    elif kind is ScoreKind.GCES:
+    table = worlds.value_table(q)
+    if is_boolean(q):
+        table = _pack(table)
+    masses = None
+    if kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
         masses = worlds.mass_table(source)
-    scores = []
-    for tid in tids:
-        bit = 1 << worlds.bit[tid]
-        if kind is ScoreKind.GCES:
-            weight = lambda mask: masses[mask] + masses[mask | bit]
-        scores.append(swing_sum(values, bit, weight) * scale)
-    return scores
+    score = _swing_scorer(worlds, table, kind, masses)
+    return [score(tid) for tid in tids]
 
 
 def delta(
