@@ -185,7 +185,12 @@ class TupleRecord:
                 f"tuple {self.tid!r}: kind must be {ENDOGENOUS!r} or {EXOGENOUS!r}, "
                 f"got {self.kind!r}"
             )
-        object.__setattr__(self, "args", tuple(parse_constant(a) for a in self.args))
+        # A string or a plain Fraction is parsed already (a document's
+        # arguments are parsed once, with their tags); anything else is not.
+        object.__setattr__(self, "args", tuple(
+            a if isinstance(a, str) or type(a) is Fraction else parse_constant(a)
+            for a in self.args
+        ))
 
     @property
     def is_endogenous(self) -> bool:
@@ -238,15 +243,12 @@ class InstanceStore:
                     f"arguments, got {len(rec.args)}"
                 )
             if decl.tags is not None:
+                # Only a string in a numeric position can still need parsing.
                 args = tuple(
-                    parse_constant(a, tag) for a, tag in zip(rec.args, decl.tags)
+                    parse_constant(a, tag) if tag == NUMERIC and isinstance(a, str) else a
+                    for a, tag in zip(rec.args, decl.tags)
                 )
                 for pos, (arg, tag) in enumerate(zip(args, decl.tags)):
-                    if tag == NUMERIC and not isinstance(arg, Fraction):
-                        raise InputError(
-                            f"tuple {rec.tid!r}: position {pos} of {rec.predicate!r} "
-                            f"must be numeric, got {arg!r}"
-                        )
                     if tag == SYMBOLIC and not isinstance(arg, str):
                         raise InputError(
                             f"tuple {rec.tid!r}: position {pos} of {rec.predicate!r} "

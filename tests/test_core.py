@@ -450,6 +450,40 @@ def test_float_constant_rejected():
         parse_pdb_document(raw)
 
 
+@pytest.mark.parametrize("name", ["paths_full_instance.json", "paths_instance.json"])
+def test_document_arguments_are_parsed_once(name, monkeypatch):
+    import causalpdb.core as core
+
+    calls = []
+
+    def counting(value, tag=None):
+        calls.append(value)
+        return parse_constant(value, tag)
+
+    monkeypatch.setattr(core, "parse_constant", counting)
+    raw = json.loads((FIXTURES / name).read_text())
+    doc = load_pdb_file(FIXTURES / name)
+    assert len(calls) == sum(len(t["args"]) for t in raw["tuples"])
+    if name == "paths_full_instance.json":  # S is tagged (symbolic, numeric)
+        assert any(type(a) is Fraction for r in doc.instance.records() for a in r.args)
+
+
+def test_tuple_record_from_python_normalizes_its_arguments():
+    rec = TupleRecord("t1", "R", ("a", 3, Probability(1, 2)), "endogenous")
+    assert rec.args == ("a", Fraction(3), Fraction(1, 2))
+    assert [type(a) for a in rec.args] == [str, Fraction, Fraction]
+    for bad in (True, 0.5):
+        with pytest.raises(InputError):
+            TupleRecord("t1", "R", ("a", bad), "endogenous")
+    schema = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
+    inst = InstanceStore(schema, [TupleRecord("t1", "S", ("a", "7/2"), "endogenous")])
+    assert inst.record("t1").args == ("a", Fraction(7, 2))
+    with pytest.raises(InputError, match="numeric position"):
+        InstanceStore(schema, [TupleRecord("t1", "S", ("a", "b"), "endogenous")])
+    with pytest.raises(InputError, match="must be symbolic"):
+        InstanceStore(schema, [TupleRecord("t1", "S", (1, 2), "endogenous")])
+
+
 def test_rational_marginals_parse():
     raw = {
         "schema": {"P": 1},

@@ -32,8 +32,8 @@ from causalpdb import (
 )
 from causalpdb import queries as queries_module
 from causalpdb import scores as scores_module
-from causalpdb.queries import Var, evaluate
-from causalpdb.scores import EndoWorlds, _causal_effect
+from causalpdb.queries import BCQ, UBCQ, Atom, Var, evaluate
+from causalpdb.scores import EndoWorlds, _causal_effect, _pack, _swing_scorer
 
 from helpers import (
     CORPUS_SCHEMA,
@@ -49,6 +49,7 @@ from helpers import (
     power_pprime_space,
     power_query,
     power_query_prime,
+    random_bcq,
     random_boolean_query,
     random_explicit_space,
     random_hierarchical_sjf_bcq,
@@ -722,8 +723,9 @@ def _count_evaluations(monkeypatch):
 def test_value_table_matches_evaluation_on_random_corpus(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     rng = random.Random(4242)
-    for _ in range(40):
-        inst = random_instance(rng, max_endogenous=6, n_exogenous=2)
+    for i in range(48):  # the last 8 draws hold 8-10 endogenous tuples
+        low, high = (8, 10) if i >= 40 else (1, 6)
+        inst = random_instance(rng, high, n_exogenous=2, min_endogenous=low)
         q = random_boolean_query(rng)
         worlds = EndoWorlds(inst)
         assert worlds.value_table(q) == _evaluated_table(worlds, q)
@@ -756,6 +758,94 @@ def test_value_table_falls_back_past_one_image_per_mask(n_exo, evaluations, monk
     assert worlds.value_table(q) == [0, 1]
     assert len(calls) == evaluations
     assert _evaluated_table(worlds, q) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# The packed swing kernel
+# ---------------------------------------------------------------------------
+
+def _kernel_corpus():
+    """(space, query) draws with 8-10 endogenous tuples on TID and explicit
+    spaces: BCQs and unions whose tables are neither all 0s nor all 1s, a
+    query no subset satisfies, and a union whose second disjunct is one
+    exogenous fact, so an all-exogenous image makes the table all 1s."""
+    rng = random.Random(1010)
+    cases = []
+    while len(cases) < 6:
+        n = 8 + len(cases) % 3
+        inst = random_instance(rng, n, n_exogenous=2, min_endogenous=n)
+        q = UBCQ((random_bcq(rng), random_bcq(rng))) if len(cases) % 3 == 2 else random_bcq(rng)
+        if sum(EndoWorlds(inst).value_table(q)) in (0, 1 << n):
+            continue
+        explicit = len(cases) % 2
+        space = random_explicit_space(rng, inst, 40) if explicit else random_tid_space(rng, inst)
+        cases.append((space, q))
+    exo = space.instance.record(min(space.instance.exogenous))
+    join = parse_query("Q() :- R(X,Y), S(Y,Z)", CORPUS_SCHEMA)
+    sure = UBCQ((join, BCQ((Atom(exo.predicate, exo.args),))))
+    never = parse_query("Q() :- P(z)", CORPUS_SCHEMA)  # z is in no instance
+    return cases + [(space, sure), (space, never)]
+
+
+def test_packed_kernel_matches_the_oracles():
+    for space, q in _kernel_corpus():
+        inst = space.instance
+        tids = inst.endogenous_order
+        assert 8 <= len(tids) <= 10
+        for kind, oracle in [
+            (ScoreKind.BANZHAF, lambda t: oracle_banzhaf(inst, q, t)),
+            (ScoreKind.POWER_TUPLE, lambda t: oracle_power_of_tuple(inst, q, t)),
+            (ScoreKind.WEIGHTED_POWER, lambda t: oracle_weighted_power(space, q, t)),
+        ]:
+            assert score_all(space, q, kind).values() == {t: oracle(t) for t in tids}
+        # The permutation and world-sum oracles are dearer: two tuples each.
+        probes = (tids[0], tids[-1])
+        for tid in probes:
+            assert gces_subset_form(space, q, tid) == oracle_causal_effect(space, q, tid)
+        if len(tids) == 8:
+            shapley_values = score_all(inst, q, ScoreKind.SHAPLEY).values()
+            for tid in probes:
+                assert shapley_values[tid] == oracle_shapley(inst, q, tid)
+
+
+@pytest.mark.parametrize("n_endogenous", [0, 1])
+def test_packed_kernel_on_the_smallest_tables(n_endogenous):
+    schema = {"R": RelationSchema("R", 1)}
+    recs = [TupleRecord("x", "R", ("b",), "exogenous")] + [
+        TupleRecord(f"t{i}", "R", ("a",), "endogenous") for i in range(n_endogenous)
+    ]
+    inst = InstanceStore(schema, recs)
+    space = make_uniform_tid(inst)
+    for text in ("Q() :- R(a)", "Q() :- R(b)", "Q() :- R(c)"):
+        q = parse_query(text, schema)
+        assert len(EndoWorlds(inst).value_table(q)) == 1 << n_endogenous
+        for kind, oracle in SCORE_ORACLES.items():
+            if kind in (ScoreKind.CES_TID, ScoreKind.CES_UI):
+                continue
+            report = score_all(space, q, kind)
+            assert report.values() == {t: oracle(space, q, t) for t in inst.endogenous_order}
+        assert total_power(inst, q) == (1 if text == "Q() :- R(a)" and n_endogenous else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_packed_kernel_equals_swing_sum_on_any_01_table(n):
+    # Random tables are not monotone, so tuples also swing down.
+    rng = random.Random(n)
+    inst = InstanceStore(
+        {"P": RelationSchema("P", 1)},
+        [TupleRecord(f"t{i}", "P", (f"c{i}",), "endogenous") for i in range(n)],
+    )
+    worlds = EndoWorlds(inst)
+    masses = worlds.mass_table(random_tid_space(rng, inst))
+    for _ in range(3):
+        values = [rng.randint(0, 1) for _ in range(worlds.size)]
+        for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
+                     ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
+            packed = _swing_scorer(worlds, _pack(values), kind, masses)
+            listed = _swing_scorer(worlds, values, kind, masses)
+            assert [packed(t) for t in inst.endogenous_order] == [
+                listed(t) for t in inst.endogenous_order
+            ]
 
 
 def test_report_serialization():
