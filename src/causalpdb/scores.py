@@ -215,8 +215,9 @@ def _levels(n: int) -> list[int]:
     """``levels[k]`` packs the masks of k bits among n."""
     levels = [1]
     for i in range(n):
-        high = [0] + [level << (1 << i) for level in levels]
-        levels = [low | up for low, up in zip(levels + [0], high)]
+        # k bits among i + 1: k among i without bit i, or k - 1 with it.
+        with_i = [0] + [level << (1 << i) for level in levels]
+        levels = [a | b for a, b in zip(levels + [0], with_i)]
     return levels
 
 
@@ -259,15 +260,13 @@ def _swing_scorer(
 
     if kind is ScoreKind.SHAPLEY:
         levels = _levels(n)
-        weigh = lambda swings, bit: sum(
+        weigh = lambda swings: sum(
             share * (swings & level).bit_count() for share, level in zip(shares, levels)
         )
-    elif kind is ScoreKind.WEIGHTED_POWER:
-        weigh = lambda swings, bit: mass(swings)
-    elif kind is ScoreKind.GCES:  # p(S) + p(S + t): the swings and their shifts
-        weigh = lambda swings, bit: mass(swings | swings << bit)
+    elif kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
+        weigh = mass
     else:
-        weigh = lambda swings, bit: swings.bit_count()
+        weigh = int.bit_count
 
     def packed_score(tid: str) -> Fraction:
         bit = 1 << worlds.bit[tid]
@@ -275,7 +274,9 @@ def _swing_scorer(
         shifted = table >> bit
         up = shifted & ~table & lacking
         down = table & ~shifted & lacking
-        return Fraction(weigh(up, bit) - weigh(down, bit)) * scale
+        if kind is ScoreKind.GCES:  # weighed by p(S) + p(S + t)
+            up, down = up | up << bit, down | down << bit
+        return Fraction(weigh(up) - weigh(down)) * scale
     return packed_score
 
 
