@@ -13,17 +13,23 @@ comes from `queries._route`, the one place a backend is chosen; `score_all`
 asks for it once, so the map and the lifted plan that reads it are built
 once for all its tuples.  Every other case sums over worlds.
 
-Every subset score is one weighted swing sum over one value table
-(`swing_sum`): the sum, over the endogenous subsets S without tuple t, of
-Q(S + t) - Q(S) times a weight that depends only on the score.  Shapley
-weighs by |S| (2^N subsets beat N! permutations), Banzhaf and power weigh
-uniformly, weighted power by the mass p(S), and the causal effect's subset
-form by p(S) + p(S + t).
+Every subset score is one weighted swing sum over one value table: the
+sum, over the endogenous subsets S without tuple t, of Q(S + t) - Q(S)
+times a weight that depends only on the score.  Shapley weighs by |S|
+(2^N subsets beat N! permutations), Banzhaf and power weigh uniformly,
+weighted power by the mass p(S), and the causal effect's subset form by
+p(S) + p(S + t).  A Boolean table is packed into one integer, bit S set iff
+Q holds on S, and `_swing_scorer` finds the subsets a tuple swings with a
+few big-integer operations: Banzhaf and power count them by popcount,
+Shapley counts them per subset size, and the mass-weighted kinds sum the
+masses at their bits.  Aggregate tables hold numbers, not bits, so they
+are summed mask by mask (`swing_sum`).
 
 The value table of a BCQ or a union comes from its lineage: over a fixed
 instance such a query is the DNF of its homomorphism images, so a subset
-satisfies it iff it holds an image's endogenous part.  Aggregates and the
-world-level forms are evaluated subset by subset.
+satisfies it iff it holds an image's endogenous part.  The images' masks
+are set in one integer and closed upward by one shift per tuple.
+Aggregates and the world-level forms are evaluated subset by subset.
 """
 
 from __future__ import annotations

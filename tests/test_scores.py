@@ -792,12 +792,9 @@ def test_packed_kernel_matches_the_oracles():
         inst = space.instance
         tids = inst.endogenous_order
         assert 8 <= len(tids) <= 10
-        for kind, oracle in [
-            (ScoreKind.BANZHAF, lambda t: oracle_banzhaf(inst, q, t)),
-            (ScoreKind.POWER_TUPLE, lambda t: oracle_power_of_tuple(inst, q, t)),
-            (ScoreKind.WEIGHTED_POWER, lambda t: oracle_weighted_power(space, q, t)),
-        ]:
-            assert score_all(space, q, kind).values() == {t: oracle(t) for t in tids}
+        for kind in (ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE, ScoreKind.WEIGHTED_POWER):
+            oracle = SCORE_ORACLES[kind]
+            assert score_all(space, q, kind).values() == {t: oracle(space, q, t) for t in tids}
         # The permutation and world-sum oracles are dearer: two tuples each.
         probes = (tids[0], tids[-1])
         for tid in probes:
@@ -816,15 +813,19 @@ def test_packed_kernel_on_the_smallest_tables(n_endogenous):
     ]
     inst = InstanceStore(schema, recs)
     space = make_uniform_tid(inst)
-    for text in ("Q() :- R(a)", "Q() :- R(b)", "Q() :- R(c)"):
+    # R(a) needs the endogenous tuple, R(b) holds on the exogenous one
+    # alone (all 1s), and R(c) never holds (all 0s).
+    for text, power in (("Q() :- R(a)", n_endogenous), ("Q() :- R(b)", 0), ("Q() :- R(c)", 0)):
         q = parse_query(text, schema)
         assert len(EndoWorlds(inst).value_table(q)) == 1 << n_endogenous
-        for kind, oracle in SCORE_ORACLES.items():
-            if kind in (ScoreKind.CES_TID, ScoreKind.CES_UI):
-                continue
+        for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
+                     ScoreKind.WEIGHTED_POWER):
             report = score_all(space, q, kind)
+            oracle = SCORE_ORACLES[kind]
             assert report.values() == {t: oracle(space, q, t) for t in inst.endogenous_order}
-        assert total_power(inst, q) == (1 if text == "Q() :- R(a)" and n_endogenous else 0)
+        for tid in inst.endogenous_order:
+            assert gces_subset_form(space, q, tid) == oracle_causal_effect(space, q, tid)
+        assert total_power(inst, q) == power
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
