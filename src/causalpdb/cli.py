@@ -143,7 +143,6 @@ def _check_threads(args):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    _check_threads(args)
     doc = _read(args)
     violations = validate(doc.space)
     if args.format == "json":
@@ -164,7 +163,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    _check_threads(args)
     cap = _resolve_cap(args)
     doc = _load(args)
     q = _load_query(args, doc)
@@ -181,7 +179,6 @@ def cmd_prob(args) -> int:
 
 
 def cmd_score(args, by_rank: bool = False) -> int:
-    _check_threads(args)
     cap = _resolve_cap(args)
     doc = _load(args, need_space=False)
     q = _load_query(args, doc)
@@ -219,7 +216,6 @@ def _parse_targets(raw: list[str] | None) -> frozenset[str]:
 
 
 def cmd_intervene(args) -> int:
-    _check_threads(args)
     doc = _load(args)
     ins = _parse_targets(args.force_in)
     outs = _parse_targets(args.force_out)
@@ -243,7 +239,6 @@ def cmd_intervene(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
-    _check_threads(args)
     schema = None
     if args.pdb is not None:
         schema = _load(args, need_space=False).instance.schema
@@ -283,11 +278,12 @@ def cmd_dichotomy(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    _check_threads(args)
     cap = _resolve_cap(args)
     doc = _load(args)
     q = _load_query(args, doc)
-    score_fn = SCORE_FUNCTIONS[args.score]
+    # Each check asks for scores the others ask for too; one request
+    # scores each (query, tuple) once.
+    score_fn = functools.cache(SCORE_FUNCTIONS[args.score])
     verdicts = [
         check_dum(doc.space, q, score_fn, cap),
         check_eff(doc.space, q, score_fn, cap),
@@ -313,7 +309,6 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    _check_threads(args)
     cap = _resolve_cap(args)
     doc = _load(args)
     q = _load_query(args, doc)
@@ -409,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_threads(args)
         return args.func(args)
     except (DichotomyError, ResourceLimitError, InvalidSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

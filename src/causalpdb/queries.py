@@ -8,16 +8,18 @@ hierarchical BCQs on tuple-independent spaces, by lifted inference.  One
 function, `_route`, chooses the backend for `query_probability`, the
 `prob` command and every causal effect: it returns the backend label and,
 on the lifted and closed-form (single-atom sum) routes, the validated
-per-fact map with the expectation that reads it.  The module is the only
-one that knows that map's layout (predicate -> args -> probability).  The
-lifted safe plan is built once per query and fact set as a read-once
-formula over the facts, and evaluated on any per-fact probability map with
-the same facts: it splits the atoms into components connected by unbound
-variables (independent, probabilities multiply), binds the roots of a
-component (the variables in every atom of it) all at once to each tuple
-of values that every atom's facts offer, combining those groundings as
-independent disjuncts, and reads an atom whose variables are all bound off
-the map as one fact's leaf.
+space's tuple marginals with the expectation that reads them.  An
+intervention on such a space is a marginal override (1 for do(t in), 0 for
+do(t out)), so the same expectation serves it.  The lifted safe plan is
+built once per query and instance as a read-once formula over the tuples,
+and evaluated on any independent marginals of those tuples: it splits the
+atoms into components connected by unbound variables (independent,
+probabilities multiply), binds the roots of a component (the variables in
+every atom of it) all at once to each tuple of values that every atom's
+tuples offer, combining those groundings as independent disjuncts, and
+turns an atom whose variables are all bound into the disjunction of the
+leaves of the tuples carrying its one fact, each leaf reading one
+tuple's marginal.
 
 Query grammar, one rule per line (``;`` also separates rules, ``#`` starts
 a comment)::
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
@@ -46,7 +48,6 @@ from .core import (
     PDBSpace,
     Probability,
     RelationSchema,
-    TupleIndependent,
     TupleRecord,
     constant_repr,
     enumerate_worlds,
@@ -608,7 +609,7 @@ def _probability(
     route = _route(pdb, q, backend)
     if route.expectation is None:
         return Probability(_world_sum(pdb, q, cap)), route.backend
-    return Probability(route.expectation(route.fact_probs)), route.backend
+    return Probability(route.expectation(route.marginals)), route.backend
 
 
 def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fraction:
@@ -629,95 +630,67 @@ def _world_sum(pdb: PDBSpace, q: Query, cap: int | None) -> Fraction:
     return total
 
 
-FactMap = dict[str, dict[tuple, Fraction]]  # predicate -> args -> P(fact)
+Marginals = Mapping[str, Fraction]  # tid -> P(tuple)
 
 
 @dataclass(frozen=True)
 class _Route:
     """How a query's expectations on a space are computed: the backend
-    label and, on the lifted and closed-form routes, the validated per-fact
-    map with the expectation that reads it (or a copy of it with some facts
-    forced, `_forced`).  The world route has neither."""
+    label and, on the lifted and closed-form routes, the validated space's
+    tuple marginals with the expectation that reads them (or a copy of them
+    with some overridden, as an intervention does).  The world route has
+    neither."""
 
     backend: str
-    fact_probs: FactMap | None = None
-    expectation: Callable[[FactMap], Fraction] | None = None
+    marginals: Marginals | None = None
+    expectation: Callable[[Marginals], Fraction] | None = None
 
 
 def _route(pdb: PDBSpace, q: Query, backend: str = "auto") -> _Route:
     """The one place a backend is chosen.  ``brute`` classifies nothing and
     takes world sums.  ``lifted`` builds the safe plan once from the
-    space's fact map, and raises `DichotomyError` for a query outside its
+    space's instance, and raises `DichotomyError` for a query outside its
     class.  ``auto`` takes that plan for a query in the class, the closed
     form for a single-atom sum on an independent space, and world sums
-    otherwise."""
+    otherwise.  The lifted and closed-form routes refuse an invalid space."""
     if backend not in ("auto", BRUTE, LIFTED):
         raise InputError(f"unknown backend {backend!r}")
     if backend == BRUTE:
         return _Route(BRUTE)
     if backend == "auto" and isinstance(q, Aggregate):
         if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
-            return _Route(CLOSED_FORM, _fact_probabilities(pdb), partial(_closed_form_sum, q))
+            require_valid(pdb)
+            expectation = _closed_form_sum(pdb.instance, q)
+            return _Route(CLOSED_FORM, pdb.representation.marginals, expectation)
         return _Route(BRUTE)
     reasons = lifted_rejections(pdb, q)
     if reasons:
         if backend == LIFTED:
             raise DichotomyError("; ".join(reasons))
         return _Route(BRUTE)
-    fact_probs = _fact_probabilities(pdb)
-    return _Route(LIFTED, fact_probs, _lifted_plan(fact_probs, q).probability)
-
-
-def _fact_probabilities(pdb: PDBSpace) -> FactMap:
-    """Per predicate, the probability of each distinct fact: one minus the
-    product of the co-marginals of the tuples carrying it.  An invalid
-    space is refused."""
     require_valid(pdb)
-    rep = pdb.representation
-    assert isinstance(rep, TupleIndependent)
-    absent: dict[str, dict[tuple, Fraction]] = {}
-    for rec in pdb.instance.records():
-        per_pred = absent.setdefault(rec.predicate, {})
-        per_pred[rec.args] = per_pred.get(rec.args, Fraction(1)) * (
-            1 - rep.marginals[rec.tid]
-        )
-    return {
-        pred: {args: 1 - q for args, q in entries.items()}
-        for pred, entries in absent.items()
-    }
+    plan = _lifted_plan(pdb.instance, q)
+    return _Route(LIFTED, pdb.representation.marginals, plan.probability)
 
 
-def _forced(
-    pdb: PDBSpace, fact_probs: FactMap, targets: frozenset[str], present: bool
-) -> FactMap:
-    """The per-fact map of an independent space after do(targets in) or
-    do(targets out): only the targets' facts change.  Forced in, such a
-    fact holds surely; forced out, it holds iff a carrier outside the
-    targets does, so its probability is 1 - prod(1 - p) over those
-    carriers (1 with an exogenous carrier, 0 with none)."""
-    facts = {pdb.instance.record(tid).fact for tid in targets}
-    if present:
-        changed = dict.fromkeys(facts, Fraction(1))
-    else:
-        marginals = pdb.representation.marginals
-        absent = dict.fromkeys(facts, Fraction(1))
-        for rec in pdb.instance.records():
-            if rec.fact in absent and rec.tid not in targets:
-                absent[rec.fact] *= 1 - marginals[rec.tid]
-        changed = {fact: 1 - a for fact, a in absent.items()}
-    forced = dict(fact_probs)
-    for (pred, args), p in changed.items():
-        forced[pred] = {**forced[pred], args: p}
-    return forced
+def _records_by_predicate(instance: InstanceStore) -> dict[str, list[TupleRecord]]:
+    by_pred: dict[str, list[TupleRecord]] = {}
+    for rec in instance.records():
+        by_pred.setdefault(rec.predicate, []).append(rec)
+    return by_pred
 
 
-def _closed_form_sum(q: Aggregate, fact_probs: FactMap) -> Fraction:
-    """E(sum) for a single-atom body on an independent space, given its
-    per-fact probabilities: each matching fact contributes its target
-    value times its presence probability."""
+def _closed_form_sum(instance: InstanceStore, q: Aggregate) -> Callable[[Marginals], Fraction]:
+    """E(sum) for a single-atom body on an independent space, as a function
+    of the tuple marginals: each fact matching the atom contributes its
+    target value times the probability that one of its carriers is
+    present.  The facts are matched, and their values checked, here once."""
     atom = q.atoms[0]
-    total = Fraction(0)
-    for args, p in fact_probs.get(atom.predicate, {}).items():
+    carriers: dict[tuple, list[_Tuple]] = {}
+    for rec in _records_by_predicate(instance).get(atom.predicate, ()):
+        carriers.setdefault(rec.args, []).append(_Tuple(rec.tid))
+    terms = []
+    for args, leaves in carriers.items():
         binding = _unify(atom, args, {})
         if binding is None:
             continue
@@ -726,19 +699,24 @@ def _closed_form_sum(q: Aggregate, fact_probs: FactMap) -> Fraction:
             raise InputError(
                 f"non-numeric value {value!r} at aggregation target {q.target}"
             )
-        total += value * p
-    return total
+        terms.append((value, _either(leaves)))
+
+    def expectation(marginals: Marginals) -> Fraction:
+        total = Fraction(0)
+        for value, fact in terms:
+            total += value * fact.probability(marginals)
+        return total
+    return expectation
 
 
-class _Fact:
-    """A leaf: the probability of one fact."""
+class _Tuple:
+    """A leaf: the marginal of one tuple."""
 
-    def __init__(self, predicate: str, args: tuple):
-        self.predicate = predicate
-        self.args = args
+    def __init__(self, tid: str):
+        self.tid = tid
 
-    def probability(self, fact_probs: FactMap) -> Fraction:
-        return fact_probs[self.predicate][self.args]
+    def probability(self, marginals: Marginals) -> Fraction:
+        return marginals[self.tid]
 
 
 class _And:
@@ -747,24 +725,25 @@ class _And:
     def __init__(self, children: tuple):
         self.children = children
 
-    def probability(self, fact_probs: FactMap) -> Fraction:
+    def probability(self, marginals: Marginals) -> Fraction:
         result = Fraction(1)
         for child in self.children:
-            result *= child.probability(fact_probs)
+            result *= child.probability(marginals)
         return result
 
 
 class _Or:
-    """Independent groundings of a component: it holds with probability
-    1 - prod(1 - P(grounding)), and fails with none."""
+    """Independent disjuncts (the groundings of a component, or the
+    carriers of a fact): it holds with probability 1 - prod(1 - P(child)),
+    and fails with none."""
 
     def __init__(self, children: tuple):
         self.children = children
 
-    def probability(self, fact_probs: FactMap) -> Fraction:
+    def probability(self, marginals: Marginals) -> Fraction:
         miss = Fraction(1)
         for child in self.children:
-            miss *= 1 - child.probability(fact_probs)
+            miss *= 1 - child.probability(marginals)
         return 1 - miss
 
 
@@ -773,17 +752,18 @@ def _either(children: list):
     return children[0] if len(children) == 1 else _Or(tuple(children))
 
 
-def _lifted_plan(fact_probs: FactMap, q: BCQ):
+def _lifted_plan(instance: InstanceStore, q: BCQ):
     """The safe plan of a self-join-free hierarchical BCQ as a read-once
-    formula over the facts of a per-fact map (`_fact_probabilities`): each
-    fact sits in at most one leaf, so the children of a node touch disjoint
-    facts.  Its `probability(m)` is P(q) under any map `m` that holds the
-    same facts, such as the map with some facts forced.  A component with
-    no root variable is refused (`DichotomyError`) once the facts ground
-    the roots above it; one they never reach adds no grounding."""
+    formula over the tuples of an instance: each tuple sits in at most one
+    leaf (`_Tuple`), so the children of a node touch disjoint tuples.  Its
+    `probability(m)` is P(q) under any independent marginals `m` of the
+    instance's tuples, such as a space's marginals with some targets set to
+    1 or 0 by an intervention.  A component with no root variable is
+    refused (`DichotomyError`) once the tuples ground the roots above it;
+    one they never reach adds no grounding."""
 
-    def build(atoms: tuple[Atom, ...], facts: list, bound: frozenset[str]):
-        # facts[i]: the (args, match) pairs of atoms[i] under the bound values.
+    def build(atoms: tuple[Atom, ...], tuples: list, bound: frozenset[str]):
+        # tuples[i]: the (leaf, match) pairs of atoms[i] under the bound values.
         parts = []
         for group in _atom_groups(atoms, bound):
             free = [atoms[i].variables - bound for i in group]
@@ -794,16 +774,17 @@ def _lifted_plan(fact_probs: FactMap, q: BCQ):
                         "no variable occurs in every atom of a connected component; "
                         "the component is non-hierarchical"
                     )
-                # An atom whose variables are all bound names one fact at most.
+                # An atom whose variables are all bound names one fact at
+                # most; it holds iff one of the fact's carriers does.
                 (i,) = group
-                parts.append(_either([_Fact(atoms[i].predicate, a) for a, _ in facts[i]]))
+                parts.append(_either([leaf for leaf, _ in tuples[i]]))
                 continue
-            # Bind every root at once: split each atom's facts by root values.
+            # Bind every root at once: split each atom's tuples by root values.
             offers = []
             for i in group:
                 offer: dict[tuple, list] = {}
-                for args, match in facts[i]:
-                    offer.setdefault(tuple(match[v] for v in roots), []).append((args, match))
+                for leaf, match in tuples[i]:
+                    offer.setdefault(tuple(match[v] for v in roots), []).append((leaf, match))
                 offers.append(offer)
             sub = tuple(atoms[i] for i in group)
             parts.append(_either([
@@ -812,11 +793,12 @@ def _lifted_plan(fact_probs: FactMap, q: BCQ):
             ]))
         return parts[0] if len(parts) == 1 else _And(tuple(parts))
 
-    facts = []
+    by_pred = _records_by_predicate(instance)
+    tuples = []
     for atom in q.atoms:
-        pairs = ((a, _unify(atom, a, {})) for a in fact_probs.get(atom.predicate, ()))
-        facts.append([(args, match) for args, match in pairs if match is not None])
-    return build(q.atoms, facts, frozenset())
+        pairs = ((r.tid, _unify(atom, r.args, {})) for r in by_pred.get(atom.predicate, ()))
+        tuples.append([(_Tuple(tid), match) for tid, match in pairs if match is not None])
+    return build(q.atoms, tuples, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -871,9 +853,7 @@ def _homomorphism_images(
             f"homomorphism images are defined for BCQs and unions, "
             f"not {type(q).__name__}"
         )
-    by_pred: dict[str, list[TupleRecord]] = {}
-    for rec in instance.records():
-        by_pred.setdefault(rec.predicate, []).append(rec)
+    by_pred = _records_by_predicate(instance)
     for disjunct in disjuncts:
         yield from _record_assignments(disjunct.atoms, by_pred, {}, [])
 

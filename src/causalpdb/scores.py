@@ -5,13 +5,13 @@ Shapley and Banzhaf values, and the swing-counting power functions.
 Every score is exact.  The causal effect of a target set is the difference
 of the query's expectations under the do(T in) and do(T out) distributions;
 for Boolean queries these are intervened probabilities.  On a
-tuple-independent space an intervention changes only the probabilities of
-the targets' facts, so self-join-free hierarchical BCQs (the lifted
-evaluator) and single-atom sums (a closed form) read one validated per-fact
-map with those facts forced, and no intervened space is built.  The route
+tuple-independent space an intervention only sets the targets' marginals
+to 1 (do in) or 0 (do out), so self-join-free hierarchical BCQs (the lifted
+evaluator) and single-atom sums (a closed form) read the validated space's
+marginals with that override, and no intervened space is built.  The route
 comes from `queries._route`, the one place a backend is chosen; `score_all`
-asks for it once, so the map and the lifted plan that reads it are built
-once for all its tuples.  Every other case sums over worlds.
+asks for it once, so the space is validated and the lifted plan built once
+for all its tuples.  Every other case sums over worlds.
 
 Every subset score is one weighted swing sum over one value table: the
 sum, over the endogenous subsets S without tuple t, of Q(S + t) - Q(S)
@@ -65,7 +65,6 @@ from .queries import (
     BRUTE,
     UBCQ,
     Query,
-    _forced,
     _homomorphism_images,
     _Route,
     _route,
@@ -336,16 +335,16 @@ def _causal_effect(
     """A target set's causal effect and the backend that computed it.  The
     route (`_route`) is chosen here, or passed in by a caller scoring many
     target sets; the lifted and closed-form routes read the route's
-    per-fact map with the targets' facts forced, and the world route sums
-    over the base worlds."""
+    marginals with the targets' set to 1 or 0, as `intervene` sets them,
+    and the world route sums over the base worlds."""
     if not targets:
         raise InputError("causal effect needs a nonempty target set")
     pdb.instance.require_endogenous(targets)
     if route is None:
         route = _route(pdb, q)
     if route.backend is not BRUTE:
-        e_in = route.expectation(_forced(pdb, route.fact_probs, targets, True))
-        e_out = route.expectation(_forced(pdb, route.fact_probs, targets, False))
+        e_in = route.expectation({**route.marginals, **dict.fromkeys(targets, Fraction(1))})
+        e_out = route.expectation({**route.marginals, **dict.fromkeys(targets, Fraction(0))})
         return Fraction(e_in - e_out), route.backend
     going_in = Intervention.do_in(targets)
     going_out = Intervention.do_out(targets)
@@ -605,7 +604,8 @@ def score_all(
             raise InputError("ces-tid needs a tuple-independent space")
         else:
             space = source
-        # One route, with its fact map and lifted plan, serves every tuple.
+        # One route, with its validated marginals and lifted plan, serves
+        # every tuple.
         route = _route(space, q) if tids else None
         for tid in tids:
             value, backend = _causal_effect(space, q, frozenset([tid]), cap, route)

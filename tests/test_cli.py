@@ -344,6 +344,29 @@ def test_axioms_with_banzhaf_score(capsys):
     assert not by_axiom["G-SYM"]["holds"]
 
 
+@pytest.mark.parametrize("score", ["banzhaf", "shapley"])
+def test_axioms_scores_each_tuple_once_per_request(monkeypatch, capsys, score):
+    from causalpdb import scores
+
+    builds = []
+    original = scores.EndoWorlds.value_table
+
+    def counting(self, q):
+        builds.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(scores.EndoWorlds, "value_table", counting)
+    argv = ["axioms", "--score", score, "--pdb", FIXTURES / "four_worlds_pdb.json",
+            "--query", FIXTURES / "path_query.q"]
+    for request in (1, 2):  # nothing is kept from one request to the next
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        # The five tables the checks build themselves, plus one score per
+        # endogenous tuple (six), each asked for once however many checks
+        # read it.
+        assert len(builds) == 11 * request
+
+
 def test_oracle_compare(capsys):
     code, out, _ = run(
         capsys, "oracle-compare", "--format", "json",

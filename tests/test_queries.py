@@ -471,7 +471,7 @@ def test_lifted_binding_recursion_matches_oracles(name):
 
 
 def test_lifted_plan_refuses_a_component_without_a_root():
-    from causalpdb.queries import _fact_probabilities, _lifted_plan
+    from causalpdb.queries import _lifted_plan
 
     schema = {"R": RelationSchema("R", 1), "S": RelationSchema("S", 2),
               "T": RelationSchema("T", 1)}
@@ -482,7 +482,7 @@ def test_lifted_plan_refuses_a_component_without_a_root():
     ])
     q = parse_query("Q() :- R(X), S(X,Y), T(Y)", schema)
     with pytest.raises(DichotomyError, match="non-hierarchical"):
-        _lifted_plan(_fact_probabilities(make_uniform_tid(inst)), q)
+        _lifted_plan(inst, q)
 
 
 def test_lifted_rejects_unions_self_joins_and_explicit_spaces():

@@ -250,7 +250,7 @@ def test_aggregate_count_uses_brute():
 
 
 # ---------------------------------------------------------------------------
-# Causal effects on independent spaces: one fact map, the targets' facts forced
+# Causal effects on independent spaces: one plan, the targets' marginals forced
 # ---------------------------------------------------------------------------
 
 def _shared_fact_space(rng, schema, records, carried):
@@ -324,39 +324,46 @@ def test_lifted_effects_of_target_pairs_match_the_oracle():
     assert shared_pairs >= 5
 
 
-def _leaf_facts(node) -> list:
-    """The fact of each leaf of a lifted plan, one entry per leaf."""
+def _leaf_tids(node) -> list:
+    """The tuple of each leaf of a lifted plan, one entry per leaf."""
     if hasattr(node, "children"):
-        return [fact for child in node.children for fact in _leaf_facts(child)]
-    return [(node.predicate, node.args)]
+        return [tid for child in node.children for tid in _leaf_tids(child)]
+    return [node.tid]
 
 
 def test_one_lifted_plan_serves_the_base_and_every_forced_map():
     from causalpdb.interventions import Intervention, intervene
-    from causalpdb.queries import _fact_probabilities, _forced, _lifted_plan, query_probability
+    from causalpdb.queries import _lifted_plan, query_probability
 
     rng = random.Random(41)
-    seen = {"constant": 0, "repeated variable": 0, "nonzero effect": 0}
+    seen = {"constant": 0, "repeated variable": 0, "nonzero effect": 0,
+            "exogenous co-carrier": 0, "endogenous co-carrier": 0}
     for _ in range(80):
         inst = random_instance(rng, max_endogenous=5, n_exogenous=rng.randint(0, 1))
         records = inst.records()
-        space = _shared_fact_space(rng, CORPUS_SCHEMA, records, rng.choice(records))
+        carried = rng.choice(records)
+        space = _shared_fact_space(rng, CORPUS_SCHEMA, records, carried)
+        inst = space.instance
         q = random_hierarchical_sjf_bcq(rng)
+        while not any(_matches(atom, carried.fact) for atom in q.atoms):
+            q = random_hierarchical_sjf_bcq(rng)
         terms = [t for atom in q.atoms for t in atom.terms]
         seen["constant"] += any(not isinstance(t, Var) for t in terms)
         seen["repeated variable"] += any(
             len(atom.variables) < sum(isinstance(t, Var) for t in atom.terms)
             for atom in q.atoms
         )
-        base = _fact_probabilities(space)
-        plan = _lifted_plan(base, q)
-        leaves = _leaf_facts(plan)
-        assert len(leaves) == len(set(leaves))  # read-once: one leaf per fact
-        assert plan.probability(base) == query_probability(space, q, "brute")
-        for tid in space.instance.endogenous_order:
+        marginals = space.representation.marginals
+        plan = _lifted_plan(inst, q)
+        leaves = _leaf_tids(plan)
+        assert len(leaves) == len(set(leaves))  # read-once: one leaf per tuple
+        assert set(leaves) <= inst.tids
+        assert plan.probability(marginals) == query_probability(space, q, "brute")
+        co_carriers = set()
+        for tid in inst.endogenous_order:
             target = frozenset([tid])
-            p_in = plan.probability(_forced(space, base, target, True))
-            p_out = plan.probability(_forced(space, base, target, False))
+            p_in = plan.probability({**marginals, tid: Fraction(1)})
+            p_out = plan.probability({**marginals, tid: Fraction(0)})
             assert p_in == query_probability(
                 intervene(space, Intervention.do_in(target)), q, "brute"
             )
@@ -365,7 +372,35 @@ def test_one_lifted_plan_serves_the_base_and_every_forced_map():
             )
             assert p_in - p_out == oracle_causal_effect(space, q, tid)
             seen["nonzero effect"] += p_in != p_out
+            if tid in leaves:  # the plan reads the target and its co-carriers
+                co_carriers.update(
+                    f"{r.kind} co-carrier" for r in inst.records()
+                    if r.fact == inst.record(tid).fact and r.tid != tid and r.tid in leaves
+                )
+        for key in co_carriers:
+            seen[key] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_one_lifted_plan_serves_two_spaces_over_one_instance():
+    from causalpdb.queries import _lifted_plan, query_probability
+
+    rng = random.Random(43)
+    differ = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_endogenous=6, n_exogenous=rng.randint(0, 1))
+        carried = rng.choice(inst.records())
+        q = random_hierarchical_sjf_bcq(rng)
+        while not any(_matches(atom, carried.fact) for atom in q.atoms):
+            q = random_hierarchical_sjf_bcq(rng)
+        plan = _lifted_plan(inst, q)
+        first, second = random_tid_space(rng, inst), random_tid_space(rng, inst)
+        p_first = plan.probability(first.representation.marginals)
+        p_second = plan.probability(second.representation.marginals)
+        assert p_first == query_probability(first, q, "brute")
+        assert p_second == query_probability(second, q, "brute")
+        differ += p_first != p_second
+    assert differ >= 10, differ
 
 
 def _count_calls(monkeypatch, module, *names):
