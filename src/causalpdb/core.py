@@ -436,7 +436,9 @@ def require_valid(pdb: PDBSpace) -> None:
 
 def world_probability(pdb: PDBSpace, world: Iterable[str]) -> Probability:
     """Mass of one world: the stored mass for explicit spaces, the product of
-    marginals (members) and co-marginals (non-members) for independent ones."""
+    marginals (members) and co-marginals (non-members) for independent ones.
+    An invalid space is refused."""
+    require_valid(pdb)
     tids = frozenset(world)
     unknown = sorted(t for t in tids if t not in pdb.instance)
     if unknown:
@@ -446,25 +448,20 @@ def world_probability(pdb: PDBSpace, world: Iterable[str]) -> Probability:
         return Probability(rep.masses.get(tids, Fraction(0)))
     mass = Fraction(1)
     for tid in pdb.instance.tids:
-        p = _marginal(rep, tid)
+        p = rep.marginals[tid]
         mass *= p if tid in tids else 1 - p
     return Probability(mass)
 
 
-def _marginal(rep: TupleIndependent, tid: str) -> Probability:
-    try:
-        return rep.marginals[tid]
-    except KeyError:
-        raise InputError(f"tuple {tid!r} has no marginal") from None
-
-
 def tuple_probability(pdb: PDBSpace, tid: str) -> Probability:
     """Probability that a tuple is present: the sum of masses of the worlds
-    containing it, which for an independent space is just its marginal."""
+    containing it, which for an independent space is just its marginal.  An
+    invalid space is refused."""
+    require_valid(pdb)
     pdb.instance.record(tid)
     rep = pdb.representation
     if isinstance(rep, TupleIndependent):
-        return _marginal(rep, tid)
+        return rep.marginals[tid]
     total = sum((m for w, m in rep.masses.items() if tid in w), Fraction(0))
     return Probability(total)
 
@@ -491,7 +488,7 @@ def enumerate_worlds(
     fixed: list[str] = []
     free: list[str] = []
     for tid in sorted(inst.tids):
-        p = _marginal(rep, tid)
+        p = rep.marginals[tid]
         if p == 1:
             fixed.append(tid)
         elif p != 0:
@@ -509,7 +506,7 @@ def enumerate_worlds(
     for i in range(len(members) - 1, -1, -1):
         factor = Fraction(1)
         if members[i] not in fixed_set:
-            factor = 1 - _marginal(rep, members[i])
+            factor = 1 - rep.marginals[members[i]]
         suffix_out[i] = factor * suffix_out[i + 1]
     next_fixed = [len(members)] * (len(members) + 1)
     for i in range(len(members) - 1, -1, -1):
@@ -544,7 +541,7 @@ def enumerate_worlds(
         if tid in fixed_set:
             mass = running
         else:
-            p = _marginal(rep, tid)
+            p = rep.marginals[tid]
             mass = running * p
             frame[2] = running * (1 - p)
         chosen.append(tid)

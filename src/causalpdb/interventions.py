@@ -3,17 +3,18 @@ or out of every world and push the mass along.
 
 On an explicit space each world is mapped to (W minus the out-targets) union
 the in-targets and masses of colliding images are merged; on a
-tuple-independent space the targets' marginals become 1 or 0 and every other
-marginal is untouched, so the result is again tuple-independent.  A single
-application may mix in- and out-targets (two disjoint sets pushed jointly);
-the plain do(T in) / do(T out) constructors cover the common case.
+tuple-independent space `Intervention.force` sets the targets' marginals to
+1 or 0 and leaves every other marginal untouched, so the result is again
+tuple-independent.  A single application may mix in- and out-targets (two
+disjoint sets pushed jointly); the plain do(T in) / do(T out) constructors
+cover the common case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from .core import (
     ExplicitWorlds,
@@ -21,9 +22,10 @@ from .core import (
     PDBSpace,
     Probability,
     TupleIndependent,
-    enumerate_worlds,
 )
-from .queries import Aggregate, Query, evaluate, expected_value, is_boolean
+from .queries import Aggregate, Query, _world_sum, evaluate, expected_value, is_boolean
+
+_ONE, _ZERO = Probability(1), Probability(0)
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,12 @@ class Intervention:
 
     def push(self, world: frozenset[str]) -> frozenset[str]:
         return (world - self.outs) | self.ins
+
+    def force(self, marginals: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        """The do() rule on an independent space: the marginals with the
+        in-targets set to 1 and the out-targets to 0."""
+        return {**marginals, **dict.fromkeys(self.ins, _ONE),
+                **dict.fromkeys(self.outs, _ZERO)}
 
     def __str__(self) -> str:
         parts = []
@@ -96,12 +104,7 @@ def intervene(pdb: PDBSpace, iv: Intervention) -> IntervenedSpace:
             pushed[image] = pushed.get(image, Fraction(0)) + mass
         return IntervenedSpace(pdb, iv, ExplicitWorlds(pushed.items()))
     assert isinstance(rep, TupleIndependent)
-    marginals = dict(rep.marginals)
-    for tid in iv.ins:
-        marginals[tid] = Probability(1)
-    for tid in iv.outs:
-        marginals[tid] = Probability(0)
-    return IntervenedSpace(pdb, iv, TupleIndependent(marginals))
+    return IntervenedSpace(pdb, iv, TupleIndependent(iv.force(rep.marginals)))
 
 
 def intervened_query_value(
@@ -113,11 +116,9 @@ def intervened_query_value(
     pdb.instance.require_endogenous(iv.targets)
     if is_boolean(q) and value not in (0, 1):
         raise InputError(f"Boolean queries take values 0 or 1, not {value!r}")
-    total = Fraction(0)
-    for world, mass in enumerate_worlds(pdb, cap):
-        if evaluate(q, pdb.instance, iv.push(world)) == value:
-            total += mass
-    return Probability(total)
+    return Probability(_world_sum(
+        pdb, lambda world: evaluate(q, pdb.instance, iv.push(world)) == value, cap
+    ))
 
 
 def intervened_expectation(

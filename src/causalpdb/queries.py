@@ -4,22 +4,24 @@ evaluation, structural analysis, and exact query probability.
 Supported query classes: Boolean conjunctive queries, unions of them, and
 scalar SUM/COUNT aggregates over a conjunctive body.  Query probability is
 computed either by brute-force world enumeration or, for self-join-free
-hierarchical BCQs on tuple-independent spaces, by lifted inference.  One
-function, `_route`, chooses the backend for `query_probability`, the
-`prob` command and every causal effect: it returns the backend label and,
-on the lifted and closed-form (single-atom sum) routes, the validated
-space's tuple marginals with the expectation that reads them.  An
-intervention on such a space is a marginal override (1 for do(t in), 0 for
-do(t out)), so the same expectation serves it.  The lifted safe plan is
-built once per query and instance as a read-once formula over the tuples,
-and evaluated on any independent marginals of those tuples: it splits the
-atoms into components connected by unbound variables (independent,
-probabilities multiply), binds the roots of a component (the variables in
-every atom of it) all at once to each tuple of values that every atom's
-tuples offer, combining those groundings as independent disjuncts, and
-turns an atom whose variables are all bound into the disjunction of the
-leaves of the tuples carrying its one fact, each leaf reading one
-tuple's marginal.
+hierarchical BCQs on tuple-independent spaces, by lifted inference.  Every
+brute-force expectation, here and in `interventions` and `scores`, is one
+mass-weighted sum over the enumerated worlds of a function of the world
+(`_world_sum`).  One function, `_route`, chooses the backend for
+`query_probability`, the `prob` command and every causal effect: it
+returns the backend label and, on the lifted and closed-form (single-atom
+sum) routes, the validated space's tuple marginals with the expectation
+that reads them.  An intervention on such a space is a marginal override
+(`Intervention.force`: 1 for do(t in), 0 for do(t out)), so the same
+expectation serves it.  The lifted safe plan is built once per query and
+instance as a read-once formula over the tuples, and evaluated on any
+independent marginals of those tuples: it splits the atoms into components
+connected by unbound variables (independent, probabilities multiply),
+binds the roots of a component (the variables in every atom of it) all at
+once to each tuple of values that every atom's tuples offer, combining
+those groundings as independent disjuncts, and turns an atom whose
+variables are all bound into the disjunction of the leaves of the tuples
+carrying its one fact, each leaf reading one tuple's marginal.
 
 Query grammar, one rule per line (``;`` also separates rules, ``#`` starts
 a comment)::
@@ -608,7 +610,8 @@ def _probability(
         raise InputError("aggregate queries have expectations, not probabilities")
     route = _route(pdb, q, backend)
     if route.expectation is None:
-        return Probability(_world_sum(pdb, q, cap)), route.backend
+        value = _world_sum(pdb, lambda world: evaluate(q, pdb.instance, world), cap)
+        return Probability(value), route.backend
     return Probability(route.expectation(route.marginals)), route.backend
 
 
@@ -616,17 +619,21 @@ def expected_value(pdb: PDBSpace, q: Aggregate, cap: int | None = None) -> Fract
     """Exact expectation of a scalar aggregate by world enumeration."""
     if not isinstance(q, Aggregate):
         raise InputError("expected_value takes an aggregate query")
-    return _world_sum(pdb, q, cap)
+    return _world_sum(pdb, lambda world: evaluate(q, pdb.instance, world), cap)
 
 
-def _world_sum(pdb: PDBSpace, q: Query, cap: int | None) -> Fraction:
-    """E(q) over the enumerated worlds; a Boolean query evaluates to 0 or
-    1, so its sum is P(q)."""
+def _world_sum(
+    pdb: PDBSpace, value: Callable[[frozenset[str]], Fraction | int], cap: int | None
+) -> Fraction:
+    """The mass-weighted sum of ``value(W)`` over the enumerated worlds W of
+    the space: E(q) when ``value`` evaluates q, P(q) for a Boolean q (its
+    values are 0 and 1).  The one mass-weighted loop over
+    `enumerate_worlds`."""
     total = Fraction(0)
     for world, mass in enumerate_worlds(pdb, cap):
-        value = evaluate(q, pdb.instance, world)
-        if value:
-            total += mass * value
+        v = value(world)
+        if v:
+            total += mass * v
     return total
 
 

@@ -2,16 +2,19 @@
 an arbitrary world distribution, its uniform-1/2 independent special case,
 Shapley and Banzhaf values, and the swing-counting power functions.
 
-Every score is exact.  The causal effect of a target set is the difference
-of the query's expectations under the do(T in) and do(T out) distributions;
-for Boolean queries these are intervened probabilities.  On a
-tuple-independent space an intervention only sets the targets' marginals
-to 1 (do in) or 0 (do out), so self-join-free hierarchical BCQs (the lifted
-evaluator) and single-atom sums (a closed form) read the validated space's
-marginals with that override, and no intervened space is built.  The route
-comes from `queries._route`, the one place a backend is chosen; `score_all`
-asks for it once, so the space is validated and the lifted plan built once
-for all its tuples.  Every other case sums over worlds.
+Every score is exact.  The causal effect of a target set,
+E[Q | do(T in)] - E[Q | do(T out)], is written once, in `_causal_effect`:
+the route supplies one expectation of an intervention, taken for both.  On
+a tuple-independent space an intervention only sets the targets' marginals
+to 1 or 0 (`Intervention.force`), so self-join-free hierarchical BCQs (the
+lifted evaluator) and single-atom sums (a closed form) read the validated
+space's marginals forced that way, and no intervened space is built.  The
+route comes from `queries._route`, the one place a backend is chosen;
+`score_all` asks for it once, so the space is validated and the lifted plan
+built once for all its tuples.  Every other case sums over worlds: a
+Boolean query over the base worlds by their pushed images, an aggregate
+over the materialized intervened spaces.  `gces_oracle` recomputes one
+effect along independent routes, the same ones for every query.
 
 Every subset score is one weighted swing sum over one value table: the
 sum, over the endogenous subsets S without tuple t, of Q(S + t) - Q(S)
@@ -49,7 +52,6 @@ from .core import (
     PDBSpace,
     ResourceLimitError,
     TupleIndependent,
-    enumerate_worlds,
     fraction_to_decimal,
     make_uniform_tid,
     require_valid,
@@ -68,9 +70,9 @@ from .queries import (
     _homomorphism_images,
     _Route,
     _route,
+    _world_sum,
     evaluate,
     is_boolean,
-    query_probability,
     query_text,
 )
 
@@ -95,7 +97,8 @@ def _instance_of(source: Union[PDBSpace, InstanceStore]) -> InstanceStore:
 
 class EndoWorlds:
     """Subsets of the endogenous tuples as bitmasks (bit order = sorted
-    tids), with cached query values and distribution masses per mask."""
+    tids), with the query's value table and the distribution's mass table
+    over those masks."""
 
     def __init__(self, instance: InstanceStore, cap: int | None = None):
         limit = DEFAULT_SUBSET_CAP if cap is None else cap
@@ -332,29 +335,27 @@ def _causal_effect(
     pdb: PDBSpace, q: Query, targets: frozenset[str], cap: int | None = None,
     route: _Route | None = None,
 ) -> tuple[Fraction, str]:
-    """A target set's causal effect and the backend that computed it.  The
-    route (`_route`) is chosen here, or passed in by a caller scoring many
-    target sets; the lifted and closed-form routes read the route's
-    marginals with the targets' set to 1 or 0, as `intervene` sets them,
-    and the world route sums over the base worlds."""
+    """A target set's causal effect, E[Q | do(T in)] - E[Q | do(T out)],
+    and the backend that computed it.  The route (`_route`) is chosen here,
+    or passed in by a caller scoring many target sets.  The lifted and
+    closed-form routes read the route's marginals forced by the
+    intervention (`Intervention.force`).  The world route sums the base
+    worlds by their pushed images for a Boolean query, and the materialized
+    intervened spaces for an aggregate."""
     if not targets:
         raise InputError("causal effect needs a nonempty target set")
     pdb.instance.require_endogenous(targets)
     if route is None:
         route = _route(pdb, q)
     if route.backend is not BRUTE:
-        e_in = route.expectation({**route.marginals, **dict.fromkeys(targets, Fraction(1))})
-        e_out = route.expectation({**route.marginals, **dict.fromkeys(targets, Fraction(0))})
-        return Fraction(e_in - e_out), route.backend
+        expectation = lambda iv: route.expectation(iv.force(route.marginals))
+    elif is_boolean(q):
+        expectation = lambda iv: intervened_query_value(pdb, q, iv, 1, cap)
+    else:
+        expectation = lambda iv: intervened_expectation(pdb, q, iv, cap)
     going_in = Intervention.do_in(targets)
     going_out = Intervention.do_out(targets)
-    if is_boolean(q):
-        p_in = intervened_query_value(pdb, q, going_in, 1, cap)
-        p_out = intervened_query_value(pdb, q, going_out, 1, cap)
-        return Fraction(p_in - p_out), BRUTE
-    e_in = intervened_expectation(pdb, q, going_in, cap)
-    e_out = intervened_expectation(pdb, q, going_out, cap)
-    return e_in - e_out, BRUTE
+    return Fraction(expectation(going_in) - expectation(going_out)), route.backend
 
 
 def causal_effect(
@@ -410,38 +411,24 @@ def gces_oracle(
     pdb: PDBSpace, q: Query, targets: Union[str, Iterable[str]],
     cap: int | None = None,
 ) -> OracleReport:
-    """Compute one causal effect three ways: on the materialized intervened
-    spaces, by direct base-world sums, and (single Boolean targets) by the
+    """Compute one causal effect three ways: by world sums over the
+    materialized intervened spaces, by one pass over the base worlds of
+    Q(push_in W) - Q(push_out W), and (single Boolean targets) by the
     swing-sum form."""
     if isinstance(targets, str):
         targets = [targets]
     target_set = pdb.instance.require_endogenous(targets)
     going_in = Intervention.do_in(target_set)
     going_out = Intervention.do_out(target_set)
-    if is_boolean(q):
-        materialized = Fraction(
-            query_probability(intervene(pdb, going_in), q, "brute", cap)
-            - query_probability(intervene(pdb, going_out), q, "brute", cap)
-        )
-        direct = Fraction(
-            intervened_query_value(pdb, q, going_in, 1, cap)
-            - intervened_query_value(pdb, q, going_out, 1, cap)
-        )
-        subset = (
-            gces_subset_form(pdb, q, next(iter(target_set)), cap)
-            if len(target_set) == 1
-            else None
-        )
-    else:
-        materialized = intervened_expectation(pdb, q, going_in, cap) - \
-            intervened_expectation(pdb, q, going_out, cap)
-        direct = Fraction(0)
-        for world, mass in enumerate_worlds(pdb, cap):
-            direct += mass * (
-                evaluate(q, pdb.instance, going_in.push(world))
-                - evaluate(q, pdb.instance, going_out.push(world))
-            )
-        subset = None
+    value = lambda world: evaluate(q, pdb.instance, world)
+    materialized = _world_sum(intervene(pdb, going_in), value, cap) - \
+        _world_sum(intervene(pdb, going_out), value, cap)
+    direct = _world_sum(
+        pdb, lambda world: value(going_in.push(world)) - value(going_out.push(world)), cap
+    )
+    subset = None
+    if is_boolean(q) and len(target_set) == 1:
+        subset = gces_subset_form(pdb, q, next(iter(target_set)), cap)
     return OracleReport(tuple(sorted(target_set)), materialized, direct, subset)
 
 

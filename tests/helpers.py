@@ -312,7 +312,7 @@ def random_explicit_space(
 
 def random_tid_space(rng: random.Random, instance: InstanceStore) -> PDBSpace:
     marginals = {}
-    for tid in instance.tids:
+    for tid in sorted(instance.tids):
         if tid in instance.exogenous:
             marginals[tid] = Probability(1)
         else:

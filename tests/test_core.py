@@ -303,6 +303,24 @@ def test_tuple_probability_four_worlds():
         tuple_probability(space, "t99")
 
 
+def test_world_and_tuple_probability_refuse_invalid_spaces():
+    inst = small_instance(2, ["endogenous", "exogenous"])
+    unsure = PDBSpace(
+        inst, TupleIndependent({"t1": Probability(1, 2), "t2": Probability(1, 2)})
+    )
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'t2'"):
+        world_probability(unsure, {"t1"})
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'t2'"):
+        tuple_probability(unsure, "t2")
+    heavy = PDBSpace(small_instance(2), ExplicitWorlds([
+        ({"t2"}, Fraction(1)), ({"t1", "t2"}, Fraction(1, 2)),
+    ]))
+    with pytest.raises(InvalidSpaceError, match=r"\[mass-total\] .* sum to 3/2"):
+        world_probability(heavy, {"t2"})
+    with pytest.raises(InvalidSpaceError, match=r"\[mass-total\] .* sum to 3/2"):
+        tuple_probability(heavy, "t2")
+
+
 def test_exogenous_tuple_probability_is_one():
     inst = small_instance(2, ["endogenous", "exogenous"])
     space = PDBSpace(

@@ -1,7 +1,11 @@
 """Query language, evaluation, structure analysis, and probability."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -194,8 +198,36 @@ def test_eval_matches_product_oracle():
         inst = random_instance(rng, max_endogenous=6)
         q = random_boolean_query(rng)
         for _ in range(6):
-            world = {t for t in inst.tids if rng.random() < 0.5}
+            world = {t for t in sorted(inst.tids) if rng.random() < 0.5}
             assert evaluate(q, inst, world) == oracle_eval(q, inst.facts(world))
+
+
+def test_random_marginals_do_not_depend_on_the_hash_seed():
+    # The corpora draw one value per tuple; drawn over a set's iteration
+    # order, the tuple that receives each value would change with the seed.
+    import causalpdb
+
+    script = (
+        "import random\n"
+        "from helpers import random_instance, random_tid_space\n"
+        "rng = random.Random(5)\n"
+        "for _ in range(20):\n"
+        "    space = random_tid_space(rng, random_instance(rng))\n"
+        "    print(sorted(space.representation.marginals.items()))\n"
+    )
+    src = str(Path(causalpdb.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), seed
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 20
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_boolean_takes_raw_facts():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from causalpdb import (
+    Aggregate,
     ExplicitWorlds,
     InputError,
     InstanceStore,
@@ -32,7 +33,7 @@ from causalpdb import (
 )
 from causalpdb import queries as queries_module
 from causalpdb import scores as scores_module
-from causalpdb.queries import BCQ, UBCQ, Atom, Var, evaluate
+from causalpdb.queries import BCQ, COUNT, UBCQ, Atom, Var, evaluate
 from causalpdb.scores import EndoWorlds, _causal_effect, _pack, _swing_scorer
 
 from helpers import (
@@ -149,7 +150,19 @@ def test_boolean_gces_is_bounded():
             assert 0 <= value <= 1
 
 
-def test_three_forms_agree_on_random_corpus():
+def test_three_forms_agree_on_random_corpus(monkeypatch):
+    from causalpdb import core, interventions
+
+    original = core.enumerate_worlds
+    enumerations = []
+
+    def counting(pdb, cap=None):
+        enumerations.append(pdb)
+        return original(pdb, cap)
+
+    for module in (core, queries_module, interventions, scores_module):
+        if vars(module).get("enumerate_worlds") is original:
+            monkeypatch.setattr(module, "enumerate_worlds", counting)
     rng = random.Random(918)
     for _ in range(15):
         inst = random_instance(rng, max_endogenous=5)
@@ -160,9 +173,19 @@ def test_three_forms_agree_on_random_corpus():
         )
         q = random_boolean_query(rng)
         tid = rng.choice(inst.endogenous_order)
+        enumerations.clear()
         report = gces_oracle(space, q, tid)
+        # Two materialized spaces and one pass over the base worlds.
+        assert len(enumerations) == 3
         assert report.agree
         assert report.value == oracle_causal_effect(space, q, tid)
+        count = Aggregate(COUNT, None, random_bcq(rng).atoms)
+        pair = rng.sample(inst.endogenous_order, min(2, len(inst.endogenous_order)))
+        for query, targets in ((q, pair), (count, [tid]), (count, pair)):
+            report = gces_oracle(space, query, targets)
+            assert report.agree
+            assert (report.subset_form is None) == (query is count or len(targets) > 1)
+            assert report.value == oracle_causal_effect(space, query, targets)
 
 
 def test_subset_form_equals_direct_definition():
