@@ -1,8 +1,10 @@
 """Golden outputs of the scoring commands: exit code, stdout and stderr of
 `prob --backend auto|brute|lifted`, `score --kind
-gces|ces-tid|ces-ui|shapley|banzhaf|power|weighted-power` and
-`oracle-compare --tuple <first endogenous tid>`, in both formats, for every
-fixture document and query file.  The test
+gces|ces-tid|ces-ui|shapley|banzhaf|power|weighted-power`,
+`oracle-compare --tuple <first endogenous tid>` and `axioms --score gces
+--query2 <the same query file>`, in both formats, for every fixture
+document and query file, plus `intervene --in <first endogenous tid>` in
+both formats for every fixture document.  The test
 replays every recorded invocation in-process through `cli.main` and
 requires byte-identical results, so a change to the engines that moves any
 digit, label or message shows up here.
@@ -51,9 +53,13 @@ def invocations() -> list[list[str]]:
             ]
             if tid is not None:
                 commands.append(["oracle-compare", "--tuple", tid])
+            commands.append(["axioms", "--score", "gces", "--query2", f"fixtures/{query.name}"])
             for command in commands:
                 for fmt in ("table", "json"):
                     out.append(command + files + ["--format", fmt])
+        if tid is not None:
+            for fmt in ("table", "json"):
+                out.append(["intervene", "--in", tid, "--pdb", f"fixtures/{doc.name}", "--format", fmt])
     return out
 
 
