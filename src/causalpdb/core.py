@@ -12,6 +12,7 @@ and marginals are ``fractions.Fraction`` values parsed from decimal or
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -322,7 +323,7 @@ class ExplicitWorlds:
         return sorted(nonzero, key=lambda item: tuple(sorted(item[0])))
 
     def total_mass(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
+        return _ratio_sum((m.numerator, m.denominator) for m in self.masses.values())
 
 
 class TupleIndependent:
@@ -466,6 +467,23 @@ def tuple_probability(pdb: PDBSpace, tid: str) -> Probability:
     return Probability(total)
 
 
+def _ratio_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of n/d over (n, d) integer pairs with d > 0, as one
+    reduced ``Fraction``.  Numerators accumulate over a running common
+    denominator, widened by lcm only when a term's d does not divide it,
+    so a stream of terms over one denominator costs no gcd per term."""
+    num, den = 0, 1
+    for n, d in terms:
+        if d != den:
+            if den % d:
+                common = math.lcm(den, d)
+                num *= common // den
+                den = common
+            n *= den // d
+        num += n
+    return Fraction(num, den)
+
+
 def enumerate_worlds(
     pdb: PDBSpace, cap: int | None = None
 ) -> Iterator[tuple[frozenset[str], Fraction]]:
@@ -475,8 +493,11 @@ def enumerate_worlds(
     Explicit spaces stream their stored support.  Independent spaces stream
     the supersets of the always-present tuples (exogenous ones and those
     with marginal 1), branching only on tuples with marginal strictly
-    between 0 and 1; the emitted masses sum to exactly 1.  An invalid
-    space is refused.
+    between 0 and 1; the emitted masses sum to exactly 1.  The walk
+    multiplies integer numerators over one common denominator, the product
+    of the open marginals' denominators, and builds one reduced
+    ``Fraction`` per world.  An invalid space is refused before the cap is
+    checked.
     """
     require_valid(pdb)
     rep = pdb.representation
@@ -501,13 +522,21 @@ def enumerate_worlds(
         )
     members = sorted(fixed + free)
     fixed_set = frozenset(fixed)
-    # suffix_out[i] = mass of excluding every free tuple at position >= i
-    suffix_out = [Fraction(1)] * (len(members) + 1)
+    # Masses are integer numerators over one common denominator: the
+    # product of the open marginals' denominators.  An open marginal a/d
+    # contributes a when its tuple is in and d - a when it is out.
+    weight_in: dict[str, int] = {}
+    weight_out: dict[str, int] = {}
+    denominator = 1
+    for tid in free:
+        p = rep.marginals[tid]
+        weight_in[tid] = p.numerator
+        weight_out[tid] = p.denominator - p.numerator
+        denominator *= p.denominator
+    # suffix_out[i] = numerator of excluding every free tuple at position >= i
+    suffix_out = [1] * (len(members) + 1)
     for i in range(len(members) - 1, -1, -1):
-        factor = Fraction(1)
-        if members[i] not in fixed_set:
-            factor = 1 - rep.marginals[members[i]]
-        suffix_out[i] = factor * suffix_out[i + 1]
+        suffix_out[i] = weight_out.get(members[i], 1) * suffix_out[i + 1]
     next_fixed = [len(members)] * (len(members) + 1)
     for i in range(len(members) - 1, -1, -1):
         next_fixed[i] = i if members[i] in fixed_set else next_fixed[i + 1]
@@ -517,14 +546,15 @@ def enumerate_worlds(
     # remaining tuples) sorts before any extension, and is legal only when
     # no always-present tuple remains.  A frame holds the next member to
     # add, the last member addable without skipping an always-present one,
-    # and the prefix's mass with the members skipped so far excluded.
+    # and the prefix's mass numerator with the members skipped so far
+    # excluded.
     n = len(members)
     chosen: list[str] = []
     stack: list[list] = []
-    start, mass = 0, Fraction(1)
+    start, mass = 0, 1
     while True:
         if next_fixed[start] == n:
-            yield frozenset(chosen), mass * suffix_out[start]
+            yield frozenset(chosen), Fraction(mass * suffix_out[start], denominator)
         stack.append([start, min(next_fixed[start], n - 1), mass])
         while stack:
             frame = stack[-1]
@@ -541,9 +571,8 @@ def enumerate_worlds(
         if tid in fixed_set:
             mass = running
         else:
-            p = rep.marginals[tid]
-            mass = running * p
-            frame[2] = running * (1 - p)
+            mass = running * weight_in[tid]
+            frame[2] = running * weight_out[tid]
         chosen.append(tid)
         start = idx + 1
 

@@ -51,6 +51,7 @@ from .core import (
     Probability,
     RelationSchema,
     TupleRecord,
+    _ratio_sum,
     constant_repr,
     enumerate_worlds,
     require_valid,
@@ -627,14 +628,18 @@ def _world_sum(
 ) -> Fraction:
     """The mass-weighted sum of ``value(W)`` over the enumerated worlds W of
     the space: E(q) when ``value`` evaluates q, P(q) for a Boolean q (its
-    values are 0 and 1).  The one mass-weighted loop over
-    `enumerate_worlds`."""
-    total = Fraction(0)
-    for world, mass in enumerate_worlds(pdb, cap):
-        v = value(world)
-        if v:
-            total += mass * v
-    return total
+    values are 0 and 1, as ``bool`` or ``int``).  The one mass-weighted
+    loop over `enumerate_worlds`.  Each term's integer numerator is added
+    over a running common denominator, which on an independent space
+    settles after the first world, and the sum is one reduced
+    ``Fraction``."""
+    def terms():
+        for world, mass in enumerate_worlds(pdb, cap):
+            v = value(world)
+            if v:
+                yield mass.numerator * v.numerator, mass.denominator * v.denominator
+
+    return _ratio_sum(terms())
 
 
 Marginals = Mapping[str, Fraction]  # tid -> P(tuple)

@@ -184,9 +184,7 @@ class EndoWorlds:
         assert isinstance(rep, TupleIndependent)
         table = [Fraction(1)]
         for tid in self.order:
-            p = rep.marginals.get(tid)
-            if p is None:
-                raise InputError(f"tuple {tid!r} has no marginal")
+            p = rep.marginals[tid]
             table = [t * (1 - p) for t in table] + [t * p for t in table]
         return table
 

@@ -1,6 +1,8 @@
 """Instance, probability, and world-enumeration behavior."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from causalpdb.core import (
     parse_constant,
 )
 
-from helpers import FIXTURES, four_worlds_space
+from helpers import FIXTURES, all_worlds_with_mass, four_worlds_space
 
 
 def small_instance(n=3, kinds=None):
@@ -424,6 +426,48 @@ def test_tid_enumeration_invariants(marginals):
         assert collected == tuple_probability(space, tid)
     for world, mass in worlds:
         assert world_probability(space, world) == mass
+
+
+def _long_denominator_marginal(rng: random.Random) -> Probability:
+    while True:
+        den = rng.randrange(10**50, 10**51)
+        num = rng.randrange(1, den)
+        if math.gcd(num, den) == 1:
+            return Probability(num, den)
+
+
+def test_tid_enumeration_matches_the_definition():
+    # Marginals 0 and 1, exogenous tuples, coprime denominators and one
+    # marginal of at least 50 denominator digits per space.
+    pool = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]
+    rng = random.Random(14)
+    open_counts = set()
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        kinds = [
+            "exogenous" if rng.random() < 0.2 else "endogenous" for _ in range(n)
+        ]
+        inst = small_instance(n, kinds)
+        marginals = {}
+        for tid in sorted(inst.tids):
+            if tid in inst.exogenous:
+                marginals[tid] = Probability(1)
+            else:
+                marginals[tid] = Probability(rng.choice(pool))
+        endogenous = sorted(inst.endogenous)
+        if endogenous:
+            marginals[rng.choice(endogenous)] = _long_denominator_marginal(rng)
+        space = PDBSpace(inst, TupleIndependent(marginals))
+        want = sorted(
+            ((w, m) for w, m in all_worlds_with_mass(space) if m),
+            key=lambda item: tuple(sorted(item[0])),
+        )
+        got = list(enumerate_worlds(space))
+        assert got == want, marginals
+        assert all(type(m) is Fraction for _, m in got)
+        assert sum((m for _, m in got), Fraction(0)) == 1
+        open_counts.add(sum(1 for p in marginals.values() if 0 < p < 1))
+    assert {0, 1, 4} <= open_counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Query language, evaluation, structure analysis, and probability."""
 
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from causalpdb import (
     Aggregate,
     BCQ,
     DichotomyError,
+    ExplicitWorlds,
     InputError,
     InstanceStore,
     PDBSpace,
@@ -38,9 +40,10 @@ from causalpdb import (
     parse_query,
     query_probability,
 )
-from causalpdb.queries import Atom
+from causalpdb.queries import Atom, _world_sum
 
 from helpers import (
+    all_worlds_with_mass,
     oracle_eval,
     oracle_mss,
     oracle_query_probability,
@@ -54,6 +57,7 @@ from helpers import (
     random_bcq,
     random_boolean_query,
     random_hierarchical_sjf_bcq,
+    random_explicit_space,
     random_instance,
     random_tid_space,
 )
@@ -561,6 +565,69 @@ def test_expected_value_empty_support():
     inst = paths_full_instance()
     q = parse_query("Q(sum(Y)) :- S(z9,Y)", inst.schema)
     assert expected_value(make_uniform_tid(inst), q) == 0
+
+
+def _plain_sum(pdb, value) -> Fraction:
+    """The definition: a Fraction sum over every subset of the instance."""
+    total = Fraction(0)
+    for world, mass in all_worlds_with_mass(pdb):
+        total += mass * value(world)
+    return total
+
+
+def _assert_world_sum(pdb, value):
+    got = _world_sum(pdb, value, None)
+    assert type(got) is Fraction
+    assert got == _plain_sum(pdb, value)
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def _signed_sum_query():
+    schema = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
+    values = [Fraction(-2, 5), Fraction(1, 3), Fraction(7), Fraction(-3, 4)]
+    recs = [
+        TupleRecord(f"t{i + 1}", "S", (f"c{i + 1}", v), "endogenous")
+        for i, v in enumerate(values)
+    ]
+    inst = InstanceStore(schema, recs)
+    return inst, parse_query("Q(sum(Y)) :- S(X,Y)", schema)
+
+
+def test_world_sum_equals_a_plain_fraction_sum_on_boolean_values():
+    rng = random.Random(21)
+    for _ in range(25):
+        inst = random_instance(rng, max_endogenous=6)
+        q = random_boolean_query(rng)
+        as_bool = lambda world: bool(evaluate(q, inst, world))
+        as_int = lambda world: int(evaluate(q, inst, world))
+        for space in (random_tid_space(rng, inst), random_explicit_space(rng, inst)):
+            _assert_world_sum(space, as_bool)
+            _assert_world_sum(space, as_int)
+
+
+def test_world_sum_equals_a_plain_fraction_sum_on_signed_fractional_sums():
+    marginals = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1)]
+    inst, q = _signed_sum_query()
+    value = lambda world: evaluate(q, inst, world)
+    tid = PDBSpace(
+        inst,
+        TupleIndependent(
+            {f"t{i + 1}": Probability(p) for i, p in enumerate(marginals)}
+        ),
+    )
+    _assert_world_sum(tid, value)
+    explicit = PDBSpace(
+        inst,
+        ExplicitWorlds([
+            ({"t1"}, Fraction(1, 3)),
+            ({"t1", "t2"}, Fraction(2, 7)),
+            ({"t2", "t3", "t4"}, Fraction(1, 11)),
+            ({"t3"}, Fraction(0)),
+            ({"t1", "t2", "t3", "t4"}, Fraction(67, 231)),
+        ]),
+    )
+    _assert_world_sum(explicit, value)
+    assert _world_sum(explicit, lambda world: 1, None) == 1
 
 
 # ---------------------------------------------------------------------------
