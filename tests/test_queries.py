@@ -56,8 +56,8 @@ from helpers import (
     two_component_space,
     random_bcq,
     random_boolean_query,
-    random_hierarchical_sjf_bcq,
     random_explicit_space,
+    random_hierarchical_sjf_bcq,
     random_instance,
     random_tid_space,
 )
@@ -582,17 +582,6 @@ def _assert_world_sum(pdb, value):
     assert math.gcd(got.numerator, got.denominator) == 1
 
 
-def _signed_sum_query():
-    schema = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
-    values = [Fraction(-2, 5), Fraction(1, 3), Fraction(7), Fraction(-3, 4)]
-    recs = [
-        TupleRecord(f"t{i + 1}", "S", (f"c{i + 1}", v), "endogenous")
-        for i, v in enumerate(values)
-    ]
-    inst = InstanceStore(schema, recs)
-    return inst, parse_query("Q(sum(Y)) :- S(X,Y)", schema)
-
-
 def test_world_sum_equals_a_plain_fraction_sum_on_boolean_values():
     rng = random.Random(21)
     for _ in range(25):
@@ -606,8 +595,14 @@ def test_world_sum_equals_a_plain_fraction_sum_on_boolean_values():
 
 
 def test_world_sum_equals_a_plain_fraction_sum_on_signed_fractional_sums():
+    schema = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
+    values = [Fraction(-2, 5), Fraction(1, 3), Fraction(7), Fraction(-3, 4)]
+    inst = InstanceStore(schema, [
+        TupleRecord(f"t{i + 1}", "S", (f"c{i + 1}", v), "endogenous")
+        for i, v in enumerate(values)
+    ])
+    q = parse_query("Q(sum(Y)) :- S(X,Y)", schema)
     marginals = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1)]
-    inst, q = _signed_sum_query()
     value = lambda world: evaluate(q, inst, world)
     tid = PDBSpace(
         inst,
