@@ -80,15 +80,22 @@ def _emit_json(payload: dict):
 
 
 def _resolve_cap(args) -> int | None:
-    if getattr(args, "max_endogenous", None) is not None:
-        return args.max_endogenous
-    env = os.environ.get(ENV_MAX_WORLDS)
-    if env is not None:
+    """The enumeration cap from ``--max-endogenous``, else from the
+    environment, else None (the default cap); a negative cap is refused."""
+    cap = getattr(args, "max_endogenous", None)
+    name = "--max-endogenous"
+    if cap is None:
+        env = os.environ.get(ENV_MAX_WORLDS)
+        if env is None:
+            return None
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise InputError(f"{ENV_MAX_WORLDS}={env!r} is not an integer") from None
-    return None
+        name = ENV_MAX_WORLDS
+    if cap < 0:
+        raise InputError(f"{name} must not be negative, got {cap}")
+    return cap
 
 
 def _read(args, need_space: bool = True):

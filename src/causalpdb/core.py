@@ -287,7 +287,12 @@ class InstanceStore:
         return [self.record(t) for t in sorted(set(tids))]
 
     def facts(self, tids: Iterable[str]) -> set[tuple[str, tuple[Constant, ...]]]:
-        return {self.record(t).fact for t in tids}
+        try:
+            return {self._by_tid[t].fact for t in tids}
+        except KeyError as exc:
+            # Name the least unknown id, not the first in iteration order.
+            unknown = {exc.args[0], *(t for t in tids if t not in self._by_tid)}
+            raise InputError(f"unknown tuple id {min(unknown)!r}") from None
 
     def adom(self) -> frozenset[Constant]:
         return frozenset(a for r in self._by_tid.values() for a in r.args)

@@ -167,11 +167,22 @@ class EndoWorlds:
 
     def lacking(self, bit: int) -> int:
         """The masks without ``bit``, as one integer: runs of ``bit`` set
-        bits alternating with runs of ``bit`` clear ones."""
-        return ((1 << self.size) - 1) // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+        bits alternating with runs of ``bit`` clear ones.  The first run is
+        copied onto itself at doubling distances, so building it takes one
+        shift and one OR per doubling of the pattern, not a division of a
+        table-sized integer."""
+        mask = (1 << bit) - 1
+        span = bit << 1
+        while span < self.size:
+            mask |= mask << span
+            span <<= 1
+        return mask
 
     def mass_table(self, pdb: PDBSpace) -> list[Fraction]:
-        """p(W union D_ex) for every endogenous subset W."""
+        """p(W union D_ex) for every endogenous subset W, as reduced
+        Fractions.  On a tuple-independent space each tuple doubles the
+        table: the entries without it times 1 - p, those with it times p,
+        the complement taken once per tuple."""
         if pdb.instance is not self.instance and pdb.instance.tids != self.instance.tids:
             raise InputError("space and subset table use different instances")
         require_valid(pdb)
@@ -185,7 +196,8 @@ class EndoWorlds:
         table = [Fraction(1)]
         for tid in self.order:
             p = rep.marginals[tid]
-            table = [t * (1 - p) for t in table] + [t * p for t in table]
+            q = 1 - p
+            table = [t * q for t in table] + [t * p for t in table]
         return table
 
 

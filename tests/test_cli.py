@@ -659,6 +659,28 @@ def test_cap_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "gces", "--pdb", FIXTURES / "four_worlds_pdb.json",
+     "--query", FIXTURES / "path_query.q"],
+    ["--kind", "ces-tid", "--pdb", FIXTURES / "nonhier_pdb.json",
+     "--query", FIXTURES / "nonhier_query.q"],
+    ["--kind", "shapley", "--pdb", FIXTURES / "nonhier_pdb.json",
+     "--query", FIXTURES / "nonhier_query.q"],
+])
+def test_negative_cap_is_an_input_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, "score", *argv, "--max-endogenous", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-endogenous must not be negative, got -1\n"
+    monkeypatch.setenv("CES_MAX_WORLDS", "-2")
+    code, out, err = run(capsys, "score", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: CES_MAX_WORLDS must not be negative, got -2\n"
+    # A zero cap stays valid: an explicit space never checks it, and the
+    # other kinds refuse the instance as too large (exit 1).
+    code, _, _ = run(capsys, "score", *argv, "--max-endogenous", "0")
+    assert code == (0 if argv[1] == "gces" else 1)
+
+
 def test_thread_count_never_changes_output(capsys):
     outputs = []
     for threads in ("1", "7"):

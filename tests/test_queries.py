@@ -234,6 +234,31 @@ def test_random_marginals_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+def test_unknown_tuple_named_in_evaluate_does_not_depend_on_the_hash_seed():
+    # With several unknown ids in the world, the least one is named.
+    import causalpdb
+
+    script = (
+        "from causalpdb import InputError, evaluate\n"
+        "from helpers import nonhier_query, nonhier_space\n"
+        "inst = nonhier_space().instance\n"
+        "try:\n"
+        "    evaluate(nonhier_query(inst.schema), inst, {'t1', 'zz', 'yy', 'xx'})\n"
+        "except InputError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(causalpdb.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), seed
+        assert done.stdout == "unknown tuple id 't1'\n", seed
+
+
 def test_eval_boolean_takes_raw_facts():
     q = parse_query("Q() :- E(a,b)")
     assert eval_boolean(q, [("E", ("a", "b"))]) == 1

@@ -1,5 +1,6 @@
 """Attribution scores: causal effects, Shapley, Banzhaf, power functions."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,13 +13,16 @@ from causalpdb import (
     InputError,
     InstanceStore,
     PDBSpace,
+    Probability,
     RelationSchema,
     ResourceLimitError,
     ScoreKind,
+    TupleIndependent,
     TupleRecord,
     banzhaf,
     causal_effect,
     ces_ui,
+    check_sym,
     delta,
     gces_oracle,
     gces_subset_form,
@@ -38,6 +42,7 @@ from causalpdb.scores import EndoWorlds, _causal_effect, _pack, _swing_scorer
 
 from helpers import (
     CORPUS_SCHEMA,
+    all_worlds_with_mass,
     oracle_banzhaf,
     oracle_causal_effect,
     oracle_power_of_tuple,
@@ -905,6 +910,101 @@ def test_packed_kernel_equals_swing_sum_on_any_01_table(n):
             assert [packed(t) for t in inst.endogenous_order] == [
                 listed(t) for t in inst.endogenous_order
             ]
+
+
+# ---------------------------------------------------------------------------
+# Mass tables and the masks without a bit
+# ---------------------------------------------------------------------------
+
+MASS_POOL = [
+    Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11),
+    Fraction(10**50 - 1, 10**50 + 151),  # a 51-digit denominator
+]
+
+
+def _defined_masses(worlds: EndoWorlds, space: PDBSpace) -> list[Fraction]:
+    """p(W + exogenous tuples) for every mask W, from the definition."""
+    by_world = dict(all_worlds_with_mass(space))
+    return [by_world[worlds.world(mask)] for mask in range(worlds.size)]
+
+
+def _assert_mass_table(worlds: EndoWorlds, space: PDBSpace):
+    table = worlds.mass_table(space)
+    assert type(table) is list and all(type(m) is Fraction for m in table)
+    assert table == _defined_masses(worlds, space)
+
+
+def test_mass_table_matches_the_definition_on_tids():
+    rng = random.Random(1515)
+    drawn = set()
+    for _ in range(8):
+        inst = random_instance(rng, 7, n_exogenous=2, min_endogenous=4)
+        marginals = {}
+        for tid in sorted(inst.tids):
+            p = Fraction(1) if tid in inst.exogenous else rng.choice(MASS_POOL)
+            marginals[tid] = Probability(p)
+            drawn.add(p)
+        _assert_mass_table(EndoWorlds(inst), PDBSpace(inst, TupleIndependent(marginals)))
+    assert drawn >= set(MASS_POOL)
+
+
+def test_mass_table_matches_the_definition_on_explicit_spaces():
+    rng = random.Random(1616)
+    for _ in range(6):
+        inst = random_instance(rng, 6, n_exogenous=1, min_endogenous=3)
+        space = random_explicit_space(rng, inst, 12)
+        missing = [
+            frozenset(c) | inst.exogenous
+            for k in range(len(inst.endogenous) + 1)
+            for c in itertools.combinations(inst.endogenous_order, k)
+            if frozenset(c) | inst.exogenous not in space.representation.masses
+        ]
+        # One more world, at mass zero, that the table must keep at zero.
+        entries = list(space.representation.masses.items()) + [(missing[0], Fraction(0))]
+        space = PDBSpace(inst, ExplicitWorlds(entries))
+        assert Fraction(0) in space.representation.masses.values()
+        _assert_mass_table(EndoWorlds(inst), space)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lacking_holds_exactly_the_masks_without_the_bit(n):
+    inst = InstanceStore(
+        {"P": RelationSchema("P", 1)},
+        [TupleRecord(f"t{i:02d}", "P", (f"c{i}",), "endogenous") for i in range(n)],
+    )
+    worlds = EndoWorlds(inst)
+    for i in range(n):
+        expected = 0
+        for mask in range(worlds.size):
+            if not mask >> i & 1:
+                expected |= 1 << mask
+        assert worlds.lacking(1 << i) == expected, i
+
+
+def test_boolean_subset_scores_at_twenty_tuples():
+    # Q() :- R(X) holds iff some R fact is present, so every tuple swings
+    # only the empty subset: Banzhaf 1/2^19, Shapley 1/20, power 1.
+    n = 20
+    schema = {"R": RelationSchema("R", 1)}
+    inst = InstanceStore(
+        schema, [TupleRecord(f"t{i:02d}", "R", (f"a{i}",), "endogenous") for i in range(n)]
+    )
+    q = parse_query("Q() :- R(X)", schema)
+    expected = {
+        ScoreKind.BANZHAF: Fraction(1, 1 << (n - 1)),
+        ScoreKind.SHAPLEY: Fraction(1, n),
+        ScoreKind.POWER_TUPLE: Fraction(1),
+    }
+    values = {}
+    for kind, value in expected.items():
+        values[kind] = score_all(inst, q, kind).values()
+        assert values[kind] == dict.fromkeys(inst.endogenous_order, value)
+    assert total_power(inst, q) == n
+    banzhaf_values = values[ScoreKind.BANZHAF]
+    verdict = check_sym(
+        make_uniform_tid(inst), q, lambda pdb, q, tid: banzhaf_values[tid]
+    )
+    assert verdict.holds and verdict.witnesses == ()
 
 
 def test_report_serialization():
