@@ -167,10 +167,9 @@ class EndoWorlds:
 
     def lacking(self, bit: int) -> int:
         """The masks without ``bit``, as one integer: runs of ``bit`` set
-        bits alternating with runs of ``bit`` clear ones.  The first run is
-        copied onto itself at doubling distances, so building it takes one
-        shift and one OR per doubling of the pattern, not a division of a
-        table-sized integer."""
+        bits alternating with runs of ``bit`` clear ones, built by copying
+        the pattern onto itself at doubling distances: one shift and one OR
+        per doubling."""
         mask = (1 << bit) - 1
         span = bit << 1
         while span < self.size:
