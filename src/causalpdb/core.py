@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 ENDOGENOUS = "endogenous"
@@ -268,6 +269,25 @@ class InstanceStore:
     def __contains__(self, tid: str) -> bool:
         return tid in self._by_tid
 
+    @cached_property
+    def records_by_predicate(self) -> dict[str, tuple[TupleRecord, ...]]:
+        """Each predicate's records, in tuple-id order; built once."""
+        by_pred: dict[str, list[TupleRecord]] = {}
+        for rec in self.records():
+            by_pred.setdefault(rec.predicate, []).append(rec)
+        return {pred: tuple(recs) for pred, recs in by_pred.items()}
+
+    @cached_property
+    def records_by_argument(self) -> dict[tuple, tuple[TupleRecord, ...]]:
+        """The records holding a constant at an argument position, keyed
+        by (predicate, position, constant), in tuple-id order; built once.
+        Keys compare as constants do, so ``"1"`` and ``Fraction(1)`` differ."""
+        index: dict[tuple, list[TupleRecord]] = {}
+        for rec in self.records():
+            for pos, arg in enumerate(rec.args):
+                index.setdefault((rec.predicate, pos, arg), []).append(rec)
+        return {key: tuple(recs) for key, recs in index.items()}
+
     def __len__(self) -> int:
         return len(self._by_tid)
 
@@ -337,8 +357,10 @@ class TupleIndependent:
     kind = "tid"
 
     def __init__(self, marginals: Mapping[str, Probability]):
+        # A Probability is checked already; anything else is coerced here.
         self.marginals: dict[str, Probability] = {
-            tid: Probability(p) for tid, p in marginals.items()
+            tid: p if isinstance(p, Probability) else Probability(p)
+            for tid, p in marginals.items()
         }
 
 

@@ -50,7 +50,6 @@ from .core import (
     PDBSpace,
     Probability,
     RelationSchema,
-    TupleRecord,
     _ratio_sum,
     constant_repr,
     enumerate_worlds,
@@ -685,13 +684,6 @@ def _route(pdb: PDBSpace, q: Query, backend: str = "auto") -> _Route:
     return _Route(LIFTED, pdb.representation.marginals, plan.probability)
 
 
-def _records_by_predicate(instance: InstanceStore) -> dict[str, list[TupleRecord]]:
-    by_pred: dict[str, list[TupleRecord]] = {}
-    for rec in instance.records():
-        by_pred.setdefault(rec.predicate, []).append(rec)
-    return by_pred
-
-
 def _closed_form_sum(instance: InstanceStore, q: Aggregate) -> Callable[[Marginals], Fraction]:
     """E(sum) for a single-atom body on an independent space, as a function
     of the tuple marginals: each fact matching the atom contributes its
@@ -699,7 +691,7 @@ def _closed_form_sum(instance: InstanceStore, q: Aggregate) -> Callable[[Margina
     present.  The facts are matched, and their values checked, here once."""
     atom = q.atoms[0]
     carriers: dict[tuple, list[_Tuple]] = {}
-    for rec in _records_by_predicate(instance).get(atom.predicate, ()):
+    for rec in instance.records_by_predicate.get(atom.predicate, ()):
         carriers.setdefault(rec.args, []).append(_Tuple(rec.tid))
     terms = []
     for args, leaves in carriers.items():
@@ -805,7 +797,7 @@ def _lifted_plan(instance: InstanceStore, q: BCQ):
             ]))
         return parts[0] if len(parts) == 1 else _And(tuple(parts))
 
-    by_pred = _records_by_predicate(instance)
+    by_pred = instance.records_by_predicate
     tuples = []
     for atom in q.atoms:
         pairs = ((r.tid, _unify(atom, r.args, {})) for r in by_pred.get(atom.predicate, ()))
@@ -835,18 +827,30 @@ class MssFamily:
 
 
 def _record_assignments(
-    atoms: tuple[Atom, ...], by_pred: dict[str, list[TupleRecord]],
+    atoms: tuple[Atom, ...], instance: InstanceStore,
     binding: dict, chosen: list[str]
 ) -> Iterator[frozenset[str]]:
+    """The tuple-id sets of the records that extend ``binding`` to the
+    atoms, in record order.  An atom's candidates are the fewest records
+    that agree with one of its bound positions (a constant, or a variable
+    an earlier atom bound), read from the instance's argument index;
+    `_unify` still checks every term of each candidate."""
     if not atoms:
         yield frozenset(chosen)
         return
     atom, rest = atoms[0], atoms[1:]
-    for rec in by_pred.get(atom.predicate, ()):
+    candidates = instance.records_by_predicate.get(atom.predicate, ())
+    for pos, term in enumerate(atom.terms):
+        value = binding.get(term.name, _UNSET) if isinstance(term, Var) else term
+        if value is not _UNSET:
+            matches = instance.records_by_argument.get((atom.predicate, pos, value), ())
+            if len(matches) < len(candidates):
+                candidates = matches
+    for rec in candidates:
         merged = _unify(atom, rec.args, binding)
         if merged is not None:
             chosen.append(rec.tid)
-            yield from _record_assignments(rest, by_pred, merged, chosen)
+            yield from _record_assignments(rest, instance, merged, chosen)
             chosen.pop()
 
 
@@ -865,9 +869,8 @@ def _homomorphism_images(
             f"homomorphism images are defined for BCQs and unions, "
             f"not {type(q).__name__}"
         )
-    by_pred = _records_by_predicate(instance)
     for disjunct in disjuncts:
-        yield from _record_assignments(disjunct.atoms, by_pred, {}, [])
+        yield from _record_assignments(disjunct.atoms, instance, {}, [])
 
 
 def minimal_satisfiable_sets(instance: InstanceStore, q: BooleanQuery) -> MssFamily:

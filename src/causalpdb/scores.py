@@ -26,7 +26,9 @@ Q holds on S, and `_swing_scorer` finds the subsets a tuple swings with a
 few big-integer operations: Banzhaf and power count them by popcount,
 Shapley counts them per subset size, and the mass-weighted kinds sum the
 masses at their bits.  Aggregate tables hold numbers, not bits, so they
-are summed mask by mask (`swing_sum`).
+are summed mask by mask (`swing_sum`).  Mass-weighted and aggregate sums
+add integer (numerator, denominator) pairs over a running common
+denominator (`core._ratio_sum`), one `Fraction` per sum.
 
 The value table of a BCQ or a union comes from its lineage: over a fixed
 instance such a query is the DNF of its homomorphism images, so a subset
@@ -52,6 +54,7 @@ from .core import (
     PDBSpace,
     ResourceLimitError,
     TupleIndependent,
+    _ratio_sum,
     fraction_to_decimal,
     make_uniform_tid,
     require_valid,
@@ -194,7 +197,9 @@ class EndoWorlds:
         assert isinstance(rep, TupleIndependent)
         table = [Fraction(1)]
         for tid in self.order:
-            p = rep.marginals[tid]
+            # A plain Fraction: a product with a Probability, a subclass,
+            # would pay an ABC instance check.
+            p = Fraction(rep.marginals[tid])
             q = 1 - p
             table = [t * q for t in table] + [t * p for t in table]
         return table
@@ -217,15 +222,18 @@ def _unpack(table: int, size: int) -> bytes:
 def swing_sum(values, bit: int, weight=None) -> Fraction:
     """Sum of the swings ``values[S | bit] - values[S]`` over the masks S
     without ``bit``, each nonzero swing multiplied by ``weight(S)`` when a
-    weight is given.  Only aggregate tables come here; Boolean tables are
-    packed and summed by `_swing_scorer`."""
-    total = 0
-    for high in range(0, len(values), bit << 1):
-        for mask in range(high, high + bit):
-            swing = values[mask | bit] - values[mask]
-            if swing:
-                total += swing if weight is None else swing * weight(mask)
-    return Fraction(total)
+    weight is given.  The weighted swings are added as integer
+    (numerator, denominator) pairs (`_ratio_sum`).  Only aggregate tables
+    come here; Boolean tables are packed and summed by `_swing_scorer`."""
+    def terms():
+        for high in range(0, len(values), bit << 1):
+            for mask in range(high, high + bit):
+                swing = values[mask | bit] - values[mask]
+                if swing:
+                    w = 1 if weight is None else weight(mask)
+                    yield swing.numerator * w.numerator, swing.denominator * w.denominator
+
+    return _ratio_sum(terms())
 
 
 def _levels(n: int) -> list[int]:
@@ -250,15 +258,16 @@ def _swing_scorer(
     iff Q holds on S.  For tuple bit b, the masks S without b that b swings
     up are ``(T >> b) & ~T`` and those it swings down ``T & ~(T >> b)``,
     both restricted to the masks without b; a score weighs the first set
-    minus the second.  An aggregate table comes as the list and goes
-    through `swing_sum`."""
+    minus the second.  The masses at a set's bits are summed as integer
+    (numerator, denominator) pairs (`_ratio_sum`).  An aggregate table
+    comes as the list and goes through `swing_sum`."""
     n = len(worlds.order)
-    scale = Fraction(1, 1 << max(n - 1, 0)) if kind is ScoreKind.BANZHAF else 1
+    denominator = 1 << max(n - 1, 0) if kind is ScoreKind.BANZHAF else 1
     if kind is ScoreKind.SHAPLEY:
         # The weight |S|! (n-|S|-1)! / n! as an integer over the common
         # denominator n!, so the sum adds integers and divides once.
         shares = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
-        scale = Fraction(1, math.factorial(n))
+        denominator = math.factorial(n)
     if isinstance(table, list):
         def score(tid: str) -> Fraction:
             bit = 1 << worlds.bit[tid]
@@ -269,11 +278,8 @@ def _swing_scorer(
                 weight = masses.__getitem__
             elif kind is ScoreKind.GCES:
                 weight = lambda mask: masses[mask] + masses[mask | bit]
-            return swing_sum(table, bit, weight) * scale
+            return swing_sum(table, bit, weight) / denominator
         return score
-
-    def mass(swings: int) -> Fraction:
-        return sum(compress(masses, _unpack(swings, worlds.size))) if swings else 0
 
     if kind is ScoreKind.SHAPLEY:
         levels = _levels(n)
@@ -281,7 +287,8 @@ def _swing_scorer(
             share * (swings & level).bit_count() for share, level in zip(shares, levels)
         )
     elif kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
-        weigh = mass
+        pairs = list(map(Fraction.as_integer_ratio, masses))
+        weigh = lambda swings: _ratio_sum(compress(pairs, _unpack(swings, worlds.size)))
     else:
         weigh = int.bit_count
 
@@ -293,7 +300,7 @@ def _swing_scorer(
         down = table & ~shifted & lacking
         if kind is ScoreKind.GCES:  # weighed by p(S) + p(S + t)
             up, down = up | up << bit, down | down << bit
-        return Fraction(weigh(up) - weigh(down)) * scale
+        return Fraction(weigh(up) - weigh(down), denominator)
     return packed_score
 
 

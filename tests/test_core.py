@@ -13,6 +13,7 @@ from causalpdb import (
     ExplicitWorlds,
     InputError,
     InstanceStore,
+    Intervention,
     PDBSpace,
     Probability,
     RelationSchema,
@@ -20,6 +21,7 @@ from causalpdb import (
     TupleIndependent,
     TupleRecord,
     enumerate_worlds,
+    intervene,
     load_pdb_file,
     make_uniform_tid,
     parse_pdb_document,
@@ -31,6 +33,7 @@ from causalpdb import (
 from causalpdb.core import (
     NUMERIC,
     InvalidSpaceError,
+    _ratio_sum,
     fraction_to_decimal,
     fraction_to_wire,
     parse_constant,
@@ -86,6 +89,53 @@ def test_probability_arithmetic_degrades_to_fraction():
     result = Probability(1, 4) + Probability(1, 4)
     assert result == Fraction(1, 2)
     assert not isinstance(Probability(1, 4) - Probability(1, 2), Probability)
+
+
+def test_independent_marginals_are_checked_once():
+    # A Probability is kept as it is, in a parsed document, a uniform space
+    # and an intervention alike; anything else is coerced and range-checked.
+    doc = parse_pdb_document({
+        "schema": {"R": 1},
+        "tuples": [
+            {"tid": "t1", "predicate": "R", "args": ["a"], "kind": "endogenous"},
+            {"tid": "t2", "predicate": "R", "args": ["b"], "kind": "endogenous"},
+        ],
+        "marginals": {"t1": "1/3", "t2": "0.25"},
+    })
+    marginals = doc.space.representation.marginals
+    assert all(type(p) is Probability for p in marginals.values())
+    kept = TupleIndependent(marginals).marginals
+    assert all(kept[t] is marginals[t] for t in marginals)
+    pushed = intervene(doc.space, Intervention.do_in("t1")).representation.marginals
+    assert pushed["t2"] is marginals["t2"]
+    uniform = make_uniform_tid(doc.instance).representation.marginals
+    assert uniform["t1"] is uniform["t2"]
+    coerced = TupleIndependent({"t1": Fraction(1, 3), "t2": 1, "t3": "2/5"}).marginals
+    assert all(type(p) is Probability for p in coerced.values())
+    assert coerced == {"t1": Fraction(1, 3), "t2": 1, "t3": Fraction(2, 5)}
+    with pytest.raises(InputError, match=r"^probabilities must be exact .*not float$"):
+        TupleIndependent({"t1": 0.25})
+    with pytest.raises(InputError, match=r"^probability '3/2' outside \[0, 1\]$"):
+        TupleIndependent({"t1": Fraction(3, 2)})
+
+
+def _ratio_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """Pairs with negative and zero numerators over denominators that
+    mostly do not divide each other, some past 50 digits."""
+    dens = [1, 2, 3, 4, 6, 7, 9, 10, 12, 35, 10**50 + 151, 2 * (10**50 + 151)]
+    return [(rng.randint(-20, 20), rng.choice(dens)) for _ in range(count)]
+
+
+def test_ratio_sum_equals_a_fraction_sum():
+    rng = random.Random(3)
+    assert _ratio_sum([]) == 0 and type(_ratio_sum([])) is Fraction
+    cases = [[(0, 7)], [(-3, 4), (3, 4)], [(1, 6), (1, 4)], [(5, 9), (-1, 6), (0, 35)]]
+    cases += [_ratio_pairs(rng, rng.randint(1, 30)) for _ in range(200)]
+    for pairs in cases:
+        got = _ratio_sum(iter(pairs))
+        assert type(got) is Fraction
+        assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0)), pairs
+        assert math.gcd(got.numerator, got.denominator) == 1
 
 
 @given(st.fractions(min_value=0, max_value=1))

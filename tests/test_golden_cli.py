@@ -21,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +85,30 @@ def test_causal_effect_commands_match_the_golden_file(monkeypatch):
     assert [r["argv"] for r in recorded] == invocations()
     for want in recorded:
         assert replay(want["argv"]) == want, " ".join(want["argv"])
+
+
+# Replays every recorded invocation in a fresh interpreter and prints the
+# argv of each one whose result differs, as one JSON list.
+_REPLAY_ALL = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import test_golden_cli as golden
+recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+print(json.dumps([r["argv"] for r in recorded if golden.replay(r["argv"]) != r]))
+"""
+
+
+def test_golden_file_replays_under_another_hash_seed():
+    # Set and dict iteration over strings follows the hash seed; no output
+    # may depend on it.  The file was recorded under PYTHONHASHSEED=0.
+    env = {k: v for k, v in os.environ.items() if k != ENV_MAX_WORLDS}
+    env["PYTHONHASHSEED"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _REPLAY_ALL, str(ROOT / "src"), str(ROOT / "tests")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Query language, evaluation, structure analysis, and probability."""
 
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from causalpdb import (
     parse_query,
     query_probability,
 )
-from causalpdb.queries import Atom, _world_sum
+from causalpdb.queries import Atom, _homomorphism_images, _world_sum
 
 from helpers import (
     all_worlds_with_mass,
@@ -648,6 +650,113 @@ def test_world_sum_equals_a_plain_fraction_sum_on_signed_fractional_sums():
     )
     _assert_world_sum(explicit, value)
     assert _world_sum(explicit, lambda world: 1, None) == 1
+
+
+# ---------------------------------------------------------------------------
+# Homomorphism images
+# ---------------------------------------------------------------------------
+
+# E is untagged, so "1" and 1 are distinct constants in it; N's first
+# position is numeric, so its "1" is parsed to the number 1.
+IMAGE_SCHEMA = {
+    "E": RelationSchema("E", 2),
+    "N": RelationSchema("N", 2, ("numeric", "symbolic")),
+    "P": RelationSchema("P", 1),
+}
+IMAGE_CONSTANTS = ["a", "b", "1", Fraction(1)]
+
+
+def _random_image_instance(rng: random.Random) -> InstanceStore:
+    """Up to 14 records, some repeating an earlier fact under a new tid."""
+    records = []
+    for i in range(rng.randint(1, 14)):
+        if records and rng.random() < 0.2:
+            pred, args = rng.choice(records)[1:3]
+        else:
+            pred = rng.choice(sorted(IMAGE_SCHEMA))
+            if pred == "N":
+                args = (rng.choice(["1", "2"]), rng.choice(["a", "1"]))
+            else:
+                args = tuple(
+                    rng.choice(IMAGE_CONSTANTS) for _ in range(IMAGE_SCHEMA[pred].arity)
+                )
+        records.append((f"t{i}", pred, args, rng.choice(["endogenous", "exogenous"])))
+    return InstanceStore(IMAGE_SCHEMA, [TupleRecord(*r) for r in records])
+
+
+def _random_image_query(rng: random.Random):
+    """A BCQ of 1-3 atoms, or a union of two, with constants, repeated
+    variables and self-joins."""
+    def bcq():
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            pred = rng.choice(sorted(IMAGE_SCHEMA))
+            atoms.append(Atom(pred, tuple(
+                Var(rng.choice(["X", "Y"])) if rng.random() < 0.6
+                else rng.choice(IMAGE_CONSTANTS)
+                for _ in range(IMAGE_SCHEMA[pred].arity)
+            )))
+        return BCQ(tuple(atoms))
+    return UBCQ((bcq(), bcq())) if rng.random() < 0.3 else bcq()
+
+
+def _brute_images(instance: InstanceStore, q) -> list[frozenset[str]]:
+    """One image per map of the atoms onto records of their predicates
+    (every combination, in tuple-id order) that binds each variable to one
+    constant and each constant to itself."""
+    images = []
+    records = instance.records()
+    for disjunct in q.disjuncts if isinstance(q, UBCQ) else (q,):
+        choices = [[r for r in records if r.predicate == a.predicate] for a in disjunct.atoms]
+        for chosen in itertools.product(*choices):
+            binding, holds = {}, True
+            for atom, rec in zip(disjunct.atoms, chosen):
+                for term, value in zip(atom.terms, rec.args):
+                    if isinstance(term, Var):
+                        holds &= binding.setdefault(term.name, value) == value
+                    else:
+                        holds &= term == value
+            if holds:
+                images.append(frozenset(r.tid for r in chosen))
+    return images
+
+
+def test_homomorphism_images_equal_every_unifying_record_map():
+    rng = random.Random(1717)
+    shapes = set()
+    for _ in range(400):
+        inst = _random_image_instance(rng)
+        q = _random_image_query(rng)
+        got = list(_homomorphism_images(inst, q))
+        want = _brute_images(inst, q)
+        assert Counter(got) == Counter(want), (q, inst.records())
+        assert got == want  # the same order, too
+        shapes.add((isinstance(q, UBCQ), len(want) > len(set(want)), bool(want)))
+    assert len(shapes) == 6  # unions or not; repeated images or not; some empty
+
+
+def test_argument_index_keeps_numbers_and_strings_apart():
+    inst = InstanceStore(IMAGE_SCHEMA, [
+        TupleRecord("s", "E", ("1", "a"), "endogenous"),
+        TupleRecord("n", "E", (1, "a"), "endogenous"),
+        TupleRecord("m", "N", ("1", "a"), "endogenous"),
+        TupleRecord("k", "E", ("a", "a"), "exogenous"),
+    ])
+    assert inst.records_by_argument is inst.records_by_argument  # built once
+    by_tid = lambda key: [r.tid for r in inst.records_by_argument[key]]
+    assert by_tid(("E", 0, "1")) == ["s"]
+    assert by_tid(("E", 0, Fraction(1))) == ["n"]
+    assert by_tid(("N", 0, Fraction(1))) == ["m"]
+    assert ("N", 0, "1") not in inst.records_by_argument
+    for text, images in [
+        ('Q() :- E("1",X)', [{"s"}]),
+        ("Q() :- E(1,X)", [{"n"}]),
+        ("Q() :- E(X,a), N(X,a)", [{"n", "m"}]),
+        ("Q() :- E(X,X)", [{"k"}]),
+        ("Q() :- E(X,Y), E(Y,Y)", [{"k"}, {"k", "n"}, {"k", "s"}]),
+    ]:
+        q = parse_query(text, IMAGE_SCHEMA)
+        assert list(_homomorphism_images(inst, q)) == images, text
 
 
 # ---------------------------------------------------------------------------

@@ -948,22 +948,73 @@ def test_mass_table_matches_the_definition_on_tids():
     assert drawn >= set(MASS_POOL)
 
 
+def _with_zero_mass_world(space: PDBSpace) -> PDBSpace:
+    """The explicit space with one more world, at mass zero."""
+    inst = space.instance
+    missing = [
+        frozenset(c) | inst.exogenous
+        for k in range(len(inst.endogenous) + 1)
+        for c in itertools.combinations(inst.endogenous_order, k)
+        if frozenset(c) | inst.exogenous not in space.representation.masses
+    ]
+    entries = list(space.representation.masses.items()) + [(missing[0], Fraction(0))]
+    space = PDBSpace(inst, ExplicitWorlds(entries))
+    assert Fraction(0) in space.representation.masses.values()
+    return space
+
+
 def test_mass_table_matches_the_definition_on_explicit_spaces():
     rng = random.Random(1616)
     for _ in range(6):
         inst = random_instance(rng, 6, n_exogenous=1, min_endogenous=3)
-        space = random_explicit_space(rng, inst, 12)
-        missing = [
-            frozenset(c) | inst.exogenous
-            for k in range(len(inst.endogenous) + 1)
-            for c in itertools.combinations(inst.endogenous_order, k)
-            if frozenset(c) | inst.exogenous not in space.representation.masses
-        ]
-        # One more world, at mass zero, that the table must keep at zero.
-        entries = list(space.representation.masses.items()) + [(missing[0], Fraction(0))]
-        space = PDBSpace(inst, ExplicitWorlds(entries))
-        assert Fraction(0) in space.representation.masses.values()
+        # The zero-mass world must stay at zero in the table.
+        space = _with_zero_mass_world(random_explicit_space(rng, inst, 12))
         _assert_mass_table(EndoWorlds(inst), space)
+
+
+def _mass_weighted_cases():
+    """(space, query) draws over 3-5 endogenous tuples: TIDs whose first
+    endogenous marginal has a 51-digit denominator, explicit spaces with a
+    zero-mass world; Boolean queries, a count, and a sum of signed
+    fractions."""
+    rng = random.Random(1818)
+    count = parse_query("Q(count()) :- P(X), T(Y)", CORPUS_SCHEMA)
+    cases = []
+    for i in range(12):
+        inst = random_instance(rng, 5, n_exogenous=1, min_endogenous=3)
+        if i % 2:
+            space = _with_zero_mass_world(random_explicit_space(rng, inst, 6))
+        else:
+            first = inst.endogenous_order[0]
+            space = PDBSpace(inst, TupleIndependent({
+                t: Probability(1) if t in inst.exogenous
+                else MASS_POOL[-1] if t == first else rng.choice(MASS_POOL)
+                for t in sorted(inst.tids)
+            }))
+        cases.append((space, count if i % 3 == 0 else random_boolean_query(rng)))
+    schema = {"S": RelationSchema("S", 2, ("symbolic", "numeric"))}
+    values = [Fraction(-2, 5), Fraction(1, 3), Fraction(7), Fraction(-3, 4)]
+    inst = InstanceStore(schema, [
+        TupleRecord(f"t{i + 1}", "S", (f"c{i % 3}", v), "endogenous")
+        for i, v in enumerate(values)
+    ])
+    total = parse_query("Q(sum(Y)) :- S(X,Y)", schema)
+    tid = PDBSpace(inst, TupleIndependent(dict(zip(inst.endogenous_order, MASS_POOL[2:]))))
+    explicit = _with_zero_mass_world(random_explicit_space(rng, inst, 6))
+    return cases + [(tid, total), (explicit, total)]
+
+
+def test_mass_weighted_and_aggregate_scores_match_the_oracles():
+    for space, q in _mass_weighted_cases():
+        kinds = [ScoreKind.WEIGHTED_POWER]
+        if isinstance(q, Aggregate):
+            kinds += [ScoreKind.SHAPLEY, ScoreKind.BANZHAF]
+        tids = space.instance.endogenous_order
+        for kind in kinds:
+            oracle = SCORE_ORACLES[kind]
+            assert score_all(space, q, kind).values() == {t: oracle(space, q, t) for t in tids}
+        for t in tids:
+            assert gces_subset_form(space, q, t) == oracle_causal_effect(space, q, t)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
