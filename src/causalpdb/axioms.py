@@ -360,12 +360,9 @@ def verify_product_formula(
     if not isinstance(q, BCQ):
         raise InputError("the product identity takes a BCQ")
     expansion = fresh_expansion(pdb.instance, q)
-    rep = pdb.representation
-    assert isinstance(rep, TupleIndependent)
-    marginals = dict(rep.marginals)
-    for rec in expansion.per_atom:
-        marginals[rec.tid] = Probability(1)
-    expanded_pdb = PDBSpace(expansion.expanded, TupleIndependent(marginals))
+    fresh = dict.fromkeys((rec.tid for rec in expansion.per_atom), Probability(1))
+    rep = TupleIndependent({**pdb.representation.marginals, **fresh})
+    expanded_pdb = PDBSpace(expansion.expanded, rep)
     effects = {
         rec.tid: causal_effect(expanded_pdb, q, rec.tid, cap)
         for rec in expansion.per_atom

@@ -6,7 +6,8 @@ distribution over subinstances.  Two distribution representations are
 supported: an explicit list of worlds with masses, and a tuple-independent
 one with per-tuple marginals.  All probability arithmetic is exact: masses
 and marginals are ``fractions.Fraction`` values parsed from decimal or
-``num/den`` strings, never binary floats.
+``num/den`` strings, never binary floats.  A space hands out its
+distribution only while valid, checked once; `validate` reports.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 ENDOGENOUS = "endogenous"
@@ -330,9 +332,9 @@ class InstanceStore:
 
 
 class ExplicitWorlds:
-    """A distribution given world by world.  Duplicate world entries are
-    merged by summing mass; zero-mass entries are kept (they are legal,
-    enumeration skips them)."""
+    """A distribution given world by world, each mass a probability.  Duplicate
+    world entries are merged by summing mass; zero-mass entries are kept
+    (they are legal, enumeration skips them)."""
 
     kind = "explicit"
 
@@ -340,8 +342,9 @@ class ExplicitWorlds:
         masses: dict[frozenset[str], Fraction] = {}
         for tids, mass in entries:
             world = frozenset(tids)
-            masses[world] = masses.get(world, Fraction(0)) + Fraction(mass)
-        self.masses: dict[frozenset[str], Fraction] = masses
+            mass = mass if isinstance(mass, Probability) else Probability(mass)
+            masses[world] = masses.get(world, Fraction(0)) + mass
+        self.masses: Mapping[frozenset[str], Fraction] = MappingProxyType(masses)
 
     def support(self) -> list[tuple[frozenset[str], Fraction]]:
         nonzero = [(w, m) for w, m in self.masses.items() if m != 0]
@@ -358,25 +361,39 @@ class TupleIndependent:
 
     def __init__(self, marginals: Mapping[str, Probability]):
         # A Probability is checked already; anything else is coerced here.
-        self.marginals: dict[str, Probability] = {
+        self.marginals: Mapping[str, Probability] = MappingProxyType({
             tid: p if isinstance(p, Probability) else Probability(p)
             for tid, p in marginals.items()
-        }
+        })
 
 
 Representation = ExplicitWorlds | TupleIndependent
 
 
 class PDBSpace:
-    """A probability space over the possible worlds of an instance."""
+    """A probability space over the possible worlds of an instance.  The
+    instance, the representation and its table are read-only, so one
+    verdict holds: the space runs `validate` once, at the first read of its
+    distribution, and refuses that read while the verdict lists violations."""
 
     def __init__(self, instance: InstanceStore, representation: Representation):
-        self.instance = instance
-        self.representation = representation
+        self._instance = instance
+        self._representation = representation
+
+    instance = property(lambda self: self._instance)
+
+    @property
+    def representation(self) -> Representation:
+        require_valid(self)
+        return self._representation
+
+    @cached_property
+    def _violations(self) -> list[Violation]:
+        return validate(self)
 
     @property
     def is_tid(self) -> bool:
-        return isinstance(self.representation, TupleIndependent)
+        return isinstance(self._representation, TupleIndependent)
 
     def support(self) -> list[tuple[frozenset[str], Fraction]]:
         """Nonzero-mass worlds in canonical order (may enumerate a TID)."""
@@ -398,7 +415,7 @@ def validate(pdb: PDBSpace) -> list[Violation]:
     """
     out: list[Violation] = []
     inst = pdb.instance
-    rep = pdb.representation
+    rep = pdb._representation
     if isinstance(rep, ExplicitWorlds):
         total = rep.total_mass()
         if total != 1:
@@ -454,24 +471,21 @@ def validate(pdb: PDBSpace) -> list[Violation]:
 def require_valid(pdb: PDBSpace) -> None:
     """Refuse a space that breaks an invariant, naming every violation as
     ``[code] detail``: the masses of such a space mean nothing."""
-    violations = validate(pdb)
-    if violations:
+    if pdb._violations:
         raise InvalidSpaceError(
             "invalid space: "
-            + "; ".join(f"[{v.code}] {v.detail}" for v in violations)
+            + "; ".join(f"[{v.code}] {v.detail}" for v in pdb._violations)
         )
 
 
 def world_probability(pdb: PDBSpace, world: Iterable[str]) -> Probability:
     """Mass of one world: the stored mass for explicit spaces, the product of
-    marginals (members) and co-marginals (non-members) for independent ones.
-    An invalid space is refused."""
-    require_valid(pdb)
+    marginals (members) and co-marginals (non-members) for independent ones."""
+    rep = pdb.representation
     tids = frozenset(world)
     unknown = sorted(t for t in tids if t not in pdb.instance)
     if unknown:
         raise InputError(f"world contains unknown tuple ids {unknown}")
-    rep = pdb.representation
     if isinstance(rep, ExplicitWorlds):
         return Probability(rep.masses.get(tids, Fraction(0)))
     mass = Fraction(1)
@@ -483,11 +497,9 @@ def world_probability(pdb: PDBSpace, world: Iterable[str]) -> Probability:
 
 def tuple_probability(pdb: PDBSpace, tid: str) -> Probability:
     """Probability that a tuple is present: the sum of masses of the worlds
-    containing it, which for an independent space is just its marginal.  An
-    invalid space is refused."""
-    require_valid(pdb)
-    pdb.instance.record(tid)
+    containing it, which for an independent space is just its marginal."""
     rep = pdb.representation
+    pdb.instance.record(tid)
     if isinstance(rep, TupleIndependent):
         return rep.marginals[tid]
     total = sum((m for w, m in rep.masses.items() if tid in w), Fraction(0))
@@ -523,10 +535,8 @@ def enumerate_worlds(
     between 0 and 1; the emitted masses sum to exactly 1.  The walk
     multiplies integer numerators over one common denominator, the product
     of the open marginals' denominators, and builds one reduced
-    ``Fraction`` per world.  An invalid space is refused before the cap is
-    checked.
+    ``Fraction`` per world.
     """
-    require_valid(pdb)
     rep = pdb.representation
     if isinstance(rep, ExplicitWorlds):
         yield from rep.support()

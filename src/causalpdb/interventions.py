@@ -97,12 +97,9 @@ def intervene(pdb: PDBSpace, iv: Intervention) -> IntervenedSpace:
     """Apply an intervention, keeping the representation kind of the base."""
     pdb.instance.require_endogenous(iv.targets)
     rep = pdb.representation
-    if isinstance(rep, ExplicitWorlds):
-        pushed: dict[frozenset[str], Fraction] = {}
-        for world, mass in rep.masses.items():
-            image = iv.push(world)
-            pushed[image] = pushed.get(image, Fraction(0)) + mass
-        return IntervenedSpace(pdb, iv, ExplicitWorlds(pushed.items()))
+    if isinstance(rep, ExplicitWorlds):  # colliding images merge
+        pushed = ExplicitWorlds((iv.push(w), mass) for w, mass in rep.masses.items())
+        return IntervenedSpace(pdb, iv, pushed)
     assert isinstance(rep, TupleIndependent)
     return IntervenedSpace(pdb, iv, TupleIndependent(iv.force(rep.marginals)))
 

@@ -53,7 +53,6 @@ from .core import (
     _ratio_sum,
     constant_repr,
     enumerate_worlds,
-    require_valid,
 )
 
 SUM = "sum"
@@ -596,8 +595,7 @@ def query_probability(
     ``brute`` sums masses over the enumerated worlds; ``lifted`` evaluates
     the ground read-once safe plan and requires a self-join-free
     hierarchical BCQ on a tuple-independent space; ``auto`` picks lifted
-    when eligible (`_route`).  Both refuse an invalid space
-    (`InvalidSpaceError`).
+    when eligible (`_route`).
     """
     return _probability(pdb, q, backend, cap)[0]
 
@@ -647,10 +645,11 @@ Marginals = Mapping[str, Fraction]  # tid -> P(tuple)
 @dataclass(frozen=True)
 class _Route:
     """How a query's expectations on a space are computed: the backend
-    label and, on the lifted and closed-form routes, the validated space's
-    tuple marginals with the expectation that reads them (or a copy of them
-    with some overridden, as an intervention does).  The world route has
-    neither."""
+    label and, on the lifted and closed-form routes, a dict copy of the
+    validated space's tuple marginals (`Intervention.force` unpacks it twice
+    per tuple, which is slow on the space's read-only view) with the
+    expectation that reads them (or a copy of them with some overridden, as
+    an intervention does).  The world route has neither."""
 
     backend: str
     marginals: Marginals | None = None
@@ -670,18 +669,16 @@ def _route(pdb: PDBSpace, q: Query, backend: str = "auto") -> _Route:
         return _Route(BRUTE)
     if backend == "auto" and isinstance(q, Aggregate):
         if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
-            require_valid(pdb)
-            expectation = _closed_form_sum(pdb.instance, q)
-            return _Route(CLOSED_FORM, pdb.representation.marginals, expectation)
+            marginals = pdb.representation.marginals.copy()
+            return _Route(CLOSED_FORM, marginals, _closed_form_sum(pdb.instance, q))
         return _Route(BRUTE)
     reasons = lifted_rejections(pdb, q)
     if reasons:
         if backend == LIFTED:
             raise DichotomyError("; ".join(reasons))
         return _Route(BRUTE)
-    require_valid(pdb)
-    plan = _lifted_plan(pdb.instance, q)
-    return _Route(LIFTED, pdb.representation.marginals, plan.probability)
+    marginals = pdb.representation.marginals.copy()
+    return _Route(LIFTED, marginals, _lifted_plan(pdb.instance, q).probability)
 
 
 def _closed_form_sum(instance: InstanceStore, q: Aggregate) -> Callable[[Marginals], Fraction]:

@@ -57,7 +57,6 @@ from .core import (
     _ratio_sum,
     fraction_to_decimal,
     make_uniform_tid,
-    require_valid,
 )
 from .interventions import (
     Intervention,
@@ -187,7 +186,6 @@ class EndoWorlds:
         the complement taken once per tuple."""
         if pdb.instance is not self.instance and pdb.instance.tids != self.instance.tids:
             raise InputError("space and subset table use different instances")
-        require_valid(pdb)
         rep = pdb.representation
         if isinstance(rep, ExplicitWorlds):
             table = [Fraction(0)] * self.size

@@ -34,6 +34,20 @@ from causalpdb.queries import Atom
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def count_validations(monkeypatch) -> list[PDBSpace]:
+    """Record every space `core.validate` is called on, in call order."""
+    from causalpdb import core
+
+    calls = []
+
+    def counting(pdb, _validate=core.validate):
+        calls.append(pdb)
+        return _validate(pdb)
+
+    monkeypatch.setattr(core, "validate", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Fixture loaders
 # ---------------------------------------------------------------------------

@@ -367,6 +367,22 @@ def test_axioms_scores_each_tuple_once_per_request(monkeypatch, capsys, score):
         assert len(builds) == 11 * request
 
 
+@pytest.mark.parametrize("argv, spaces", [
+    (["score", "--kind", "gces"], 1),
+    (["axioms", "--score", "gces"], 1),
+    # The document's space and the two spaces the materialized oracle builds.
+    (["oracle-compare", "--tuple", "t3"], 3),
+])
+def test_each_space_is_validated_once_per_request(monkeypatch, capsys, argv, spaces):
+    from helpers import count_validations
+
+    calls = count_validations(monkeypatch)
+    code, _, err = run(capsys, *argv, "--pdb", FIXTURES / "four_worlds_pdb.json",
+                       "--query", FIXTURES / "path_query.q")
+    assert code == 0 and err == ""
+    assert len(calls) == len({id(pdb) for pdb in calls}) == spaces
+
+
 def test_oracle_compare(capsys):
     code, out, _ = run(
         capsys, "oracle-compare", "--format", "json",

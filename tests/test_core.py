@@ -251,6 +251,89 @@ def test_duplicate_world_entries_merge():
     assert world_probability(space, {"t1"}) == 1
 
 
+def test_world_masses_are_checked_like_marginals():
+    with pytest.raises(InputError, match=r"^probabilities must be exact .*not float$"):
+        ExplicitWorlds([({"t1"}, 0.1), ({"t2"}, Fraction(9, 10))])
+    with pytest.raises(InputError, match=r"^probability '3/2' outside \[0, 1\]$"):
+        ExplicitWorlds([({"t1"}, Fraction(3, 2)), ({"t2"}, Fraction(-1, 2))])
+    with pytest.raises(InputError, match=r"^probability '-1/2' outside \[0, 1\]$"):
+        ExplicitWorlds([({"t2"}, Fraction(-1, 2)), ({"t1"}, Fraction(3, 2))])
+    merged = ExplicitWorlds([({"t1"}, "1/4"), ({"t1"}, Probability(3, 4)), ((), 0)])
+    assert dict(merged.masses) == {frozenset({"t1"}): 1, frozenset(): 0}
+
+
+def test_space_and_tables_are_read_only():
+    space = four_worlds_space()
+    with pytest.raises(AttributeError):
+        space.representation = TupleIndependent({})
+    with pytest.raises(AttributeError):
+        space.instance = small_instance(1)
+    with pytest.raises(TypeError):
+        space.representation.masses[frozenset({"t1"})] = Fraction(1)
+    uniform = make_uniform_tid(space.instance)
+    with pytest.raises(TypeError):
+        uniform.representation.marginals["t1"] = 5
+    assert validate(space) == validate(uniform) == []
+
+
+def test_validate_reports_every_violation_and_the_space_refuses_reads(monkeypatch):
+    from helpers import count_validations
+
+    calls = count_validations(monkeypatch)
+    space = PDBSpace(small_instance(2, ["endogenous", "exogenous"]), ExplicitWorlds(
+        [({"t1"}, Fraction(1, 2)), ({"t2", "t9"}, Fraction(1, 4))]
+    ))
+    assert [v.code for v in validate(space)] == [
+        "mass-total", "exogenous-missing", "unknown-tid",
+    ]
+    message = (
+        "invalid space: [mass-total] world masses sum to 3/4, not 1; "
+        "[exogenous-missing] world ['t1'] has mass 1/2 > 0 but omits exogenous "
+        "tuples ['t2']; [unknown-tid] world ['t2', 't9'] contains unknown tuple "
+        "ids ['t9']"
+    )
+    for _ in range(2):
+        with pytest.raises(InvalidSpaceError) as raised:
+            space.representation
+        assert str(raised.value) == message
+    assert space.is_tid is False
+    assert calls == [space]  # the space's own verdict, however often it is read
+
+
+def test_a_space_is_validated_once_however_many_readers_read_it(monkeypatch):
+    from causalpdb import query_probability
+
+    from helpers import count_validations, path_query
+
+    calls = count_validations(monkeypatch)
+    space = four_worlds_space()
+    world_probability(space, {"t1"})
+    tuple_probability(space, "t1")
+    list(enumerate_worlds(space))
+    query_probability(space, path_query(space.instance.schema))
+    space_to_document(space)
+    assert calls == [space]
+
+
+def test_readers_that_never_checked_refuse_invalid_spaces():
+    from causalpdb import Intervention, parse_query, verify_product_formula
+
+    half = PDBSpace(small_instance(2), ExplicitWorlds([({"t1"}, Fraction(1, 2))]))
+    with pytest.raises(InvalidSpaceError, match=r"\[mass-total\] .* sum to 1/2"):
+        intervene(half, Intervention.do_in("t2"))
+    with pytest.raises(InvalidSpaceError, match=r"\[mass-total\] .* sum to 1/2"):
+        space_to_document(half)
+    schema = {"R": RelationSchema("R", 1), "S": RelationSchema("S", 2)}
+    inst = InstanceStore(schema, [
+        TupleRecord("r", "R", ("a",), "exogenous"),
+        TupleRecord("s", "S", ("a", "b"), "endogenous"),
+    ])
+    unsure = PDBSpace(inst, TupleIndependent({"r": Fraction(1, 2), "s": Fraction(1, 2)}))
+    q = parse_query("Q() :- R(X), S(X,Y)", schema)
+    with pytest.raises(InvalidSpaceError, match=r"\[exogenous-marginal\] .*'r'"):
+        verify_product_formula(unsure, q)
+
+
 def _four_worlds_with_first_mass(p):
     doc = json.loads((FIXTURES / "four_worlds_pdb.json").read_text())
     doc["worlds"][0]["p"] = p

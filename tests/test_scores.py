@@ -491,28 +491,15 @@ def test_closed_form_sums_with_shared_facts_match_the_oracle(body):
         assert value == oracle_causal_effect(space, q, pair)
 
 
-def _count_validations(monkeypatch):
-    from causalpdb import core
-
-    calls = []
-
-    def counting(pdb, _validate=core.validate):
-        calls.append(pdb)
-        return _validate(pdb)
-
-    monkeypatch.setattr(core, "validate", counting)
-    return calls
-
-
 def test_independent_routes_validate_once_and_build_no_intervened_space(monkeypatch):
     from causalpdb import interventions
-    from helpers import two_component_query, two_component_space
+    from helpers import count_validations, two_component_query, two_component_space
 
     def refuse(*args, **kwargs):
         raise AssertionError("an intervened space was built")
 
     monkeypatch.setattr(interventions.IntervenedSpace, "__init__", refuse)
-    calls = _count_validations(monkeypatch)
+    calls = count_validations(monkeypatch)
     space = two_component_space()
     q = two_component_query(space.instance.schema)
     sums = parse_query("Q(sum(Y)) :- S(X,Y)", SUM_SCHEMA)
@@ -525,16 +512,16 @@ def test_independent_routes_validate_once_and_build_no_intervened_space(monkeypa
         (space.instance, q, "ces-ui", "lifted"),
         (summed, sums, "ces-tid", "closed-form"),
     ):
-        calls.clear()
         report = score_all(source, query, kind)
         assert len(report.entries) > 1
         assert {e.backend for e in report.entries} == {backend}
-        assert len(calls) == 1
     for pdb, query, targets in ((space, q, ["t1"]), (space, q, ["t1", "t4"]),
                                 (summed, sums, ["t2"])):
-        calls.clear()
         causal_effect(pdb, query, targets)
-        assert len(calls) == 1
+    # One verdict per space over the whole sequence: the two given spaces
+    # and the uniform one that ces-ui builds, each validated once.
+    assert len(calls) == len({id(pdb) for pdb in calls}) == 3
+    assert space in calls and summed in calls
 
 
 # ---------------------------------------------------------------------------
