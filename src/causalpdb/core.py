@@ -228,15 +228,17 @@ class RelationSchema:
 
 class InstanceStore:
     """A schema plus a set of identified tuples, with the derived
-    endogenous/exogenous partition and active domain."""
+    endogenous/exogenous partition and active domain.  The schema is a
+    read-only view and the tuple-id sets are read-only properties, so a
+    space's verdict on the instance holds."""
 
     def __init__(self, schema: Mapping[str, RelationSchema], records: Iterable[TupleRecord]):
-        self.schema: dict[str, RelationSchema] = dict(schema)
+        self._schema: Mapping[str, RelationSchema] = MappingProxyType(dict(schema))
         self._by_tid: dict[str, TupleRecord] = {}
         for rec in records:
             if rec.tid in self._by_tid:
                 raise InputError(f"duplicate tuple id {rec.tid!r}")
-            decl = self.schema.get(rec.predicate)
+            decl = self._schema.get(rec.predicate)
             if decl is None:
                 raise InputError(
                     f"tuple {rec.tid!r} uses undeclared relation {rec.predicate!r}"
@@ -260,13 +262,18 @@ class InstanceStore:
                         )
                 rec = TupleRecord(rec.tid, rec.predicate, args, rec.kind)
             self._by_tid[rec.tid] = rec
-        self.endogenous: frozenset[str] = frozenset(
-            t for t, r in self._by_tid.items() if r.is_endogenous
-        )
-        self.exogenous: frozenset[str] = frozenset(self._by_tid) - self.endogenous
-        #: Endogenous tids in sorted order; the canonical bit order for
-        #: subset enumerations.
-        self.endogenous_order: tuple[str, ...] = tuple(sorted(self.endogenous))
+        self._tids = frozenset(self._by_tid)
+        self._endogenous = frozenset(t for t, r in self._by_tid.items() if r.is_endogenous)
+        self._exogenous = self._tids - self._endogenous
+        self._endogenous_order = tuple(sorted(self._endogenous))
+
+    schema = property(lambda self: self._schema)
+    tids = property(lambda self: self._tids)
+    endogenous = property(lambda self: self._endogenous)
+    exogenous = property(lambda self: self._exogenous)
+    #: Endogenous tids in sorted order; the canonical bit order for
+    #: subset enumerations.
+    endogenous_order = property(lambda self: self._endogenous_order)
 
     def __contains__(self, tid: str) -> bool:
         return tid in self._by_tid
@@ -292,10 +299,6 @@ class InstanceStore:
 
     def __len__(self) -> int:
         return len(self._by_tid)
-
-    @property
-    def tids(self) -> frozenset[str]:
-        return frozenset(self._by_tid)
 
     def record(self, tid: str) -> TupleRecord:
         try:

@@ -2,7 +2,10 @@
 evaluation, structural analysis, and exact query probability.
 
 Supported query classes: Boolean conjunctive queries, unions of them, and
-scalar SUM/COUNT aggregates over a conjunctive body.  Query probability is
+scalar SUM/COUNT aggregates over a conjunctive body.  One homomorphism
+search (`_homomorphisms`) walks the instance's records through its
+argument index and serves world evaluation (restricted to the world's
+tuples), lineage images and minimal satisfiable sets.  Query probability is
 computed either by brute-force world enumeration or, for self-join-free
 hierarchical BCQs on tuple-independent spaces, by lifted inference.  Every
 brute-force expectation, here and in `interventions` and `scores`, is one
@@ -373,16 +376,6 @@ def load_query_file(path, schema=None) -> Query:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-FactIndex = dict  # predicate -> tuple of args-tuples
-
-
-def fact_index(facts: Iterable[tuple[str, tuple[Constant, ...]]]) -> FactIndex:
-    index: dict[str, list] = {}
-    for pred, args in facts:
-        index.setdefault(pred, []).append(args)
-    return index
-
-
 def _unify(atom: Atom, args: tuple[Constant, ...], binding: dict) -> dict | None:
     # Constants are str or Fraction; cross-type values never compare equal.
     new = None
@@ -410,63 +403,45 @@ def _unify(atom: Atom, args: tuple[Constant, ...], binding: dict) -> dict | None
 _UNSET = object()
 
 
-def _assignments(
-    atoms: tuple[Atom, ...], index: FactIndex, binding: dict
+def _homomorphisms(
+    atoms: tuple[Atom, ...], instance: InstanceStore, world: frozenset[str] | None,
+    binding: dict, chosen: list[str]
 ) -> Iterator[dict]:
+    """The bindings that extend ``binding`` to the atoms through records of
+    the instance (only those whose tuple id is in ``world``, when one is
+    given), in record order; ``chosen`` holds the tuple ids of the records
+    matched so far, in step with each yielded binding.  An atom's
+    candidates are the fewest records that agree with one of its bound
+    positions (a constant, or a variable an earlier atom bound), read from
+    the instance's argument index; `_unify` still checks every term of each
+    candidate."""
     if not atoms:
         yield binding
         return
     atom, rest = atoms[0], atoms[1:]
-    for args in index.get(atom.predicate, ()):
-        merged = _unify(atom, args, binding)
+    candidates = instance.records_by_predicate.get(atom.predicate, ())
+    for pos, term in enumerate(atom.terms):
+        value = binding.get(term.name, _UNSET) if isinstance(term, Var) else term
+        if value is not _UNSET:
+            matches = instance.records_by_argument.get((atom.predicate, pos, value), ())
+            if len(matches) < len(candidates):
+                candidates = matches
+    for rec in candidates:
+        if world is not None and rec.tid not in world:
+            continue
+        merged = _unify(atom, rec.args, binding)
         if merged is not None:
-            yield from _assignments(rest, index, merged)
-
-
-def eval_boolean(q: BooleanQuery, facts: Iterable[tuple[str, tuple]]) -> int:
-    """1 iff some homomorphism maps the query (one disjunct, for unions)
-    into the given fact set."""
-    index = fact_index(facts)
-    if not isinstance(q, (BCQ, UBCQ)):
-        raise InputError(f"cannot evaluate {type(q).__name__} on bare facts")
-    for disjunct in q.disjuncts if isinstance(q, UBCQ) else (q,):
-        for _ in _assignments(disjunct.atoms, index, {}):
-            return 1
-    return 0
-
-
-def distinct_assignments(
-    atoms: tuple[Atom, ...], facts: Iterable[tuple[str, tuple]]
-) -> set[tuple]:
-    """Distinct full assignments of the body variables admitting a
-    homomorphism, each as a tuple sorted by variable name."""
-    index = fact_index(facts)
-    seen = set()
-    for binding in _assignments(atoms, index, {}):
-        seen.add(tuple(sorted(binding.items())))
-    return seen
-
-
-def eval_aggregate(q: Aggregate, facts: Iterable[tuple[str, tuple]]) -> Fraction:
-    """SUM adds the target value once per distinct body assignment; COUNT
-    counts distinct assignments."""
-    assignments = distinct_assignments(q.atoms, facts)
-    if q.op == COUNT:
-        return Fraction(len(assignments))
-    total = Fraction(0)
-    for assignment in assignments:
-        value = dict(assignment)[q.target.name]
-        if not isinstance(value, Fraction):
-            raise InputError(
-                f"non-numeric value {value!r} at aggregation target {q.target}"
-            )
-        total += value
-    return total
+            chosen.append(rec.tid)
+            yield from _homomorphisms(rest, instance, world, merged, chosen)
+            chosen.pop()
 
 
 def evaluate(q: Query, instance: InstanceStore, tids: Iterable[str]):
     """Evaluate any query on the world given by a tuple-id set: 0/1 for
-    Boolean forms, an exact rational for aggregates."""
+    Boolean forms (1 iff some homomorphism maps the query, or one disjunct
+    of a union, into the world), an exact rational for aggregates (SUM adds
+    the target value once per distinct body assignment; COUNT counts
+    distinct assignments)."""
     world = frozenset(tids)
     if isinstance(q, QueryOfSet):
         return int(q.base <= world)
@@ -474,10 +449,24 @@ def evaluate(q: Query, instance: InstanceStore, tids: Iterable[str]):
         return min(evaluate(p, instance, world) for p in q.parts)
     if isinstance(q, DisjQuery):
         return max(evaluate(p, instance, world) for p in q.parts)
-    facts = instance.facts(world)
+    if not world <= instance.tids:
+        raise InputError(f"unknown tuple id {min(world - instance.tids)!r}")
     if isinstance(q, Aggregate):
-        return eval_aggregate(q, facts)
-    return eval_boolean(q, facts)
+        # Each target is checked as the walk yields it, so the first bad
+        # value named is the first in record order.
+        values: dict[frozenset, Fraction] = {}
+        for binding in _homomorphisms(q.atoms, instance, world, {}, []):
+            value = Fraction(1) if q.op == COUNT else binding[q.target.name]
+            if not isinstance(value, Fraction):
+                raise InputError(
+                    f"non-numeric value {value!r} at aggregation target {q.target}"
+                )
+            values[frozenset(binding.items())] = value
+        return sum(values.values(), Fraction(0))
+    for disjunct in q.disjuncts if isinstance(q, UBCQ) else (q,):
+        for _ in _homomorphisms(disjunct.atoms, instance, world, {}, []):
+            return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -823,34 +812,6 @@ class MssFamily:
         return [sorted(s) for s in self.sets]
 
 
-def _record_assignments(
-    atoms: tuple[Atom, ...], instance: InstanceStore,
-    binding: dict, chosen: list[str]
-) -> Iterator[frozenset[str]]:
-    """The tuple-id sets of the records that extend ``binding`` to the
-    atoms, in record order.  An atom's candidates are the fewest records
-    that agree with one of its bound positions (a constant, or a variable
-    an earlier atom bound), read from the instance's argument index;
-    `_unify` still checks every term of each candidate."""
-    if not atoms:
-        yield frozenset(chosen)
-        return
-    atom, rest = atoms[0], atoms[1:]
-    candidates = instance.records_by_predicate.get(atom.predicate, ())
-    for pos, term in enumerate(atom.terms):
-        value = binding.get(term.name, _UNSET) if isinstance(term, Var) else term
-        if value is not _UNSET:
-            matches = instance.records_by_argument.get((atom.predicate, pos, value), ())
-            if len(matches) < len(candidates):
-                candidates = matches
-    for rec in candidates:
-        merged = _unify(atom, rec.args, binding)
-        if merged is not None:
-            chosen.append(rec.tid)
-            yield from _record_assignments(rest, instance, merged, chosen)
-            chosen.pop()
-
-
 def _homomorphism_images(
     instance: InstanceStore, q: BooleanQuery
 ) -> Iterator[frozenset[str]]:
@@ -867,7 +828,9 @@ def _homomorphism_images(
             f"not {type(q).__name__}"
         )
     for disjunct in disjuncts:
-        yield from _record_assignments(disjunct.atoms, instance, {}, [])
+        chosen: list[str] = []
+        for _ in _homomorphisms(disjunct.atoms, instance, None, {}, chosen):
+            yield frozenset(chosen)
 
 
 def minimal_satisfiable_sets(instance: InstanceStore, q: BooleanQuery) -> MssFamily:
@@ -894,16 +857,12 @@ def is_monotone_check(q: Query, instance: InstanceStore, exhaustive_cap: int = 1
         return True
     if q.op == COUNT:
         return True
-    full = instance.tids
-    values = [
-        dict(assignment)[q.target.name]
-        for assignment in distinct_assignments(q.atoms, instance.facts(full))
-    ]
+    values = (b[q.target.name] for b in _homomorphisms(q.atoms, instance, None, {}, []))
     if all(isinstance(v, Fraction) and v >= 0 for v in values):
         return True
-    if len(full) > exhaustive_cap:
+    if len(instance) > exhaustive_cap:
         return False
-    tids = sorted(full)
+    tids = sorted(instance.tids)
     for mask in range(1 << len(tids)):
         world = frozenset(t for i, t in enumerate(tids) if mask >> i & 1)
         base = evaluate(q, instance, world)

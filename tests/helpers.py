@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from causalpdb import (
+    Aggregate,
     BCQ,
     ExplicitWorlds,
     InstanceStore,
@@ -112,33 +113,40 @@ def nonhier_query(schema=None):
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def _oracle_bindings(atoms, facts):
+    """The variable binding of every total choice of one fact per atom that
+    maps each atom onto its fact."""
+    facts = list(facts)
+    pools = [[args for pred, args in facts if pred == atom.predicate] for atom in atoms]
+    for choice in itertools.product(*pools):
+        binding = {}
+        if all(_oracle_match(atom, args, binding) for atom, args in zip(atoms, choice)):
+            yield binding
+
+
+def _oracle_match(atom, args, binding) -> bool:
+    for term, value in zip(atom.terms, args):
+        if isinstance(term, Var):
+            if binding.setdefault(term.name, value) != value:
+                return False
+        elif term != value:
+            return False
+    return True
+
+
 def oracle_eval_bcq(q: BCQ, facts) -> int:
     """Existence of a homomorphism by trying every total choice of one fact
     per atom."""
-    facts = list(facts)
-    pools = []
-    for atom in q.atoms:
-        pools.append([args for pred, args in facts if pred == atom.predicate])
-    for choice in itertools.product(*pools):
-        binding = {}
-        ok = True
-        for atom, args in zip(q.atoms, choice):
-            for term, value in zip(atom.terms, args):
-                if isinstance(term, Var):
-                    if term.name in binding:
-                        if binding[term.name] != value:
-                            ok = False
-                            break
-                    else:
-                        binding[term.name] = value
-                elif term != value:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return 1
-    return 0
+    return int(any(True for _ in _oracle_bindings(q.atoms, facts)))
+
+
+def oracle_eval_aggregate(q: Aggregate, facts) -> Fraction:
+    """COUNT of, or SUM of the target over, the distinct full assignments
+    among every total choice of one fact per atom."""
+    assignments = {tuple(sorted(b.items())) for b in _oracle_bindings(q.atoms, facts)}
+    if q.op == "count":
+        return Fraction(len(assignments))
+    return sum((dict(a)[q.target.name] for a in assignments), Fraction(0))
 
 
 def oracle_eval(q, facts) -> int:
@@ -277,11 +285,13 @@ CORPUS_SCHEMA = {
     "T": RelationSchema("T", 1),
 }
 CORPUS_CONSTANTS = ["a", "b", "c", "d"]
+#: Integer constants, so that every position can be a sum target.
+CORPUS_NUMBERS = [Fraction(n) for n in (-1, 0, 1, 2)]
 
 
 def random_instance(
     rng: random.Random, max_endogenous: int = 8, n_exogenous: int | None = None,
-    min_endogenous: int = 1,
+    min_endogenous: int = 1, constants=CORPUS_CONSTANTS,
 ) -> InstanceStore:
     n_en = rng.randint(min_endogenous, max_endogenous)
     n_ex = rng.randint(0, 1) if n_exogenous is None else n_exogenous
@@ -291,7 +301,7 @@ def random_instance(
     while len(records) < n_en + n_ex:
         pred = rng.choice(sorted(CORPUS_SCHEMA))
         args = tuple(
-            rng.choice(CORPUS_CONSTANTS)
+            rng.choice(constants)
             for _ in range(CORPUS_SCHEMA[pred].arity)
         )
         if (pred, args) in seen:
@@ -334,7 +344,7 @@ def random_tid_space(rng: random.Random, instance: InstanceStore) -> PDBSpace:
     return PDBSpace(instance, TupleIndependent(marginals))
 
 
-def random_bcq(rng: random.Random, max_atoms: int = 3) -> BCQ:
+def random_bcq(rng: random.Random, max_atoms: int = 3, constants=CORPUS_CONSTANTS) -> BCQ:
     n = rng.randint(1, max_atoms)
     variables = ["X", "Y", "Z"]
     atoms = []
@@ -342,7 +352,7 @@ def random_bcq(rng: random.Random, max_atoms: int = 3) -> BCQ:
         pred = rng.choice(sorted(CORPUS_SCHEMA))
         terms = tuple(
             Var(rng.choice(variables)) if rng.random() < 0.7
-            else rng.choice(CORPUS_CONSTANTS)
+            else rng.choice(constants)
             for _ in range(CORPUS_SCHEMA[pred].arity)
         )
         atoms.append(Atom(pred, terms))

@@ -125,19 +125,38 @@ def test_invalid_spaces_are_refused_before_scoring(tmp_path, capsys):
         assert code == 1 and out == "" and "[mass-total]" in err
 
 
-def test_first_bad_tuple_id_does_not_depend_on_the_hash_seed():
+def test_first_bad_tuple_id_does_not_depend_on_the_hash_seed(tmp_path):
     import causalpdb
 
-    argv = [
-        sys.executable, "-m", "causalpdb.cli", "intervene",
-        "--pdb", str(FIXTURES / "nonhier_pdb.json"), "--in", "t3", "--out", "t1",
+    # One world holding four tuples, none with a numeric sum target: the
+    # first bad target named is the first in tuple-id order.
+    fruit = tmp_path / "fruit.json"
+    fruit.write_text(json.dumps({
+        "schema": {"S": 2},
+        "tuples": [
+            {"tid": f"t{i}", "predicate": "S", "args": args, "kind": "endogenous"}
+            for i, args in enumerate(
+                [["x", "apple"], ["x", "banana"], ["y", "cherry"], ["y", "date"]], 1
+            )
+        ],
+        "worlds": [{"tids": ["t1", "t2", "t3", "t4"], "p": "1"}],
+    }))
+    total = tmp_path / "total.q"
+    total.write_text("Q(sum(Y)) :- S(X,Y)\n")
+    cases = [
+        (["intervene", "--pdb", str(FIXTURES / "nonhier_pdb.json"), "--in", "t3", "--out", "t1"],
+         "error: unknown tuple id 't1'\n"),
+        (["score", "--kind", "gces", "--pdb", str(fruit), "--query", str(total)],
+         "error: non-numeric value 'apple' at aggregation target Y\n"),
     ]
     src = str(Path(causalpdb.__file__).resolve().parent.parent)
-    for seed in ("1", "2", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-        assert (done.returncode, done.stdout) == (2, ""), seed
-        assert done.stderr == "error: unknown tuple id 't1'\n", seed
+    for args, stderr in cases:
+        argv = [sys.executable, "-m", "causalpdb.cli", *args]
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (2, ""), (args[0], seed)
+            assert done.stderr == stderr, (args[0], seed)
 
 
 def test_python_dash_m_runs_the_cli():

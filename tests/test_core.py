@@ -276,6 +276,27 @@ def test_space_and_tables_are_read_only():
     assert validate(space) == validate(uniform) == []
 
 
+def test_instance_is_read_only():
+    inst = small_instance(1)
+    space = PDBSpace(inst, TupleIndependent({"t1": Fraction(1, 2)}))
+    space.representation  # the space's verdict is taken here, once
+    for name, value in (
+        ("endogenous", frozenset()),
+        ("exogenous", frozenset({"t1"})),
+        ("endogenous_order", ()),
+        ("tids", frozenset()),
+        ("schema", {}),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, value)
+    with pytest.raises(TypeError):
+        inst.schema["R"] = RelationSchema("R", 3)
+    assert (inst.endogenous, inst.exogenous) == (frozenset({"t1"}), frozenset())
+    assert dict(inst.schema) == {"P": RelationSchema("P", 1)}
+    assert validate(space) == []
+    assert [world for world, _ in enumerate_worlds(space)] == [frozenset(), frozenset({"t1"})]
+
+
 def test_validate_reports_every_violation_and_the_space_refuses_reads(monkeypatch):
     from helpers import count_validations
 

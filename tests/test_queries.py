@@ -30,7 +30,6 @@ from causalpdb import (
     UBCQ,
     Var,
     components,
-    eval_boolean,
     evaluate,
     expected_value,
     hierarchy_violation,
@@ -45,8 +44,10 @@ from causalpdb import (
 from causalpdb.queries import Atom, _homomorphism_images, _world_sum
 
 from helpers import (
+    CORPUS_NUMBERS,
     all_worlds_with_mass,
     oracle_eval,
+    oracle_eval_aggregate,
     oracle_mss,
     oracle_query_probability,
     path_query,
@@ -206,6 +207,40 @@ def test_eval_matches_product_oracle():
         for _ in range(6):
             world = {t for t in sorted(inst.tids) if rng.random() < 0.5}
             assert evaluate(q, inst, world) == oracle_eval(q, inst.facts(world))
+    # One fact carried by two tuples, the second endogenous or exogenous;
+    # worlds hold one carrier, both or neither.
+    for kind in ("endogenous", "exogenous"):
+        for _ in range(30):
+            inst = random_instance(rng, max_endogenous=5)
+            first = rng.choice(inst.records(inst.endogenous))
+            second = TupleRecord(f"t{len(inst) + 1}", first.predicate, first.args, kind)
+            inst = inst.with_records([second])
+            fact = Atom(first.predicate, first.args)
+            body = random_bcq(rng).atoms
+            boolean = [random_boolean_query(rng), BCQ((fact,) + body)]
+            count = Aggregate("count", None, rng.choice([body, (fact,) + body]))
+            rest = {t for t in sorted(inst.tids) if rng.random() < 0.5}
+            for carriers in ((), (first.tid,), (second.tid,), (first.tid, second.tid)):
+                world = rest - {first.tid, second.tid} | set(carriers)
+                facts = inst.facts(world)
+                for q in boolean:
+                    assert evaluate(q, inst, world) == oracle_eval(q, facts)
+                assert evaluate(count, inst, world) == oracle_eval_aggregate(count, facts)
+    # SUM over a corpus whose every position holds an integer.
+    for _ in range(40):
+        inst = random_instance(rng, max_endogenous=6, constants=CORPUS_NUMBERS)
+        body = random_bcq(rng, constants=CORPUS_NUMBERS)
+        if not body.variables:
+            continue
+        total = Aggregate("sum", Var(rng.choice(sorted(body.variables))), body.atoms)
+        for _ in range(6):
+            world = {t for t in sorted(inst.tids) if rng.random() < 0.5}
+            assert evaluate(total, inst, world) == oracle_eval_aggregate(total, inst.facts(world))
+    # A world holding unknown tuples names the least of them.
+    inst = random_instance(rng, max_endogenous=6)
+    for q in (random_bcq(rng), Aggregate("count", None, random_bcq(rng).atoms)):
+        with pytest.raises(InputError, match="^unknown tuple id 'yy'$"):
+            evaluate(q, inst, {"t1", "zz", "yy"})
 
 
 def test_random_marginals_do_not_depend_on_the_hash_seed():
@@ -262,9 +297,12 @@ def test_unknown_tuple_named_in_evaluate_does_not_depend_on_the_hash_seed():
 
 
 def test_eval_boolean_takes_raw_facts():
+    # The query against one raw fact, as the world of a one-tuple instance.
     q = parse_query("Q() :- E(a,b)")
-    assert eval_boolean(q, [("E", ("a", "b"))]) == 1
-    assert eval_boolean(q, [("E", ("b", "a"))]) == 0
+    for args, value in ((("a", "b"), 1), (("b", "a"), 0)):
+        record = TupleRecord("t1", "E", args, "endogenous")
+        inst = InstanceStore({"E": RelationSchema("E", 2)}, [record])
+        assert evaluate(q, inst, {"t1"}) == value
 
 
 # ---------------------------------------------------------------------------
