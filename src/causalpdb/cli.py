@@ -81,8 +81,10 @@ def _emit_json(payload: dict):
 
 def _resolve_cap(args) -> int | None:
     """The enumeration cap from ``--max-endogenous``, else from the
-    environment, else None (the default cap); a negative cap is refused."""
-    cap = getattr(args, "max_endogenous", None)
+    environment, else None (the default cap); a negative cap is refused.
+    `main` resolves it once, for every command, into
+    ``args.max_endogenous``."""
+    cap = args.max_endogenous
     name = "--max-endogenous"
     if cap is None:
         env = os.environ.get(ENV_MAX_WORLDS)
@@ -170,10 +172,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    cap = _resolve_cap(args)
     doc = _load(args)
     q = _load_query(args, doc)
-    value, backend = _probability(doc.space, q, args.backend, cap)
+    value, backend = _probability(doc.space, q, args.backend, args.max_endogenous)
     _require_printable(value)
     if args.format == "json":
         _emit_json({"probability": _frac_json(value), "backend": backend})
@@ -186,7 +187,6 @@ def cmd_prob(args) -> int:
 
 
 def cmd_score(args, by_rank: bool = False) -> int:
-    cap = _resolve_cap(args)
     doc = _load(args, need_space=False)
     q = _load_query(args, doc)
     try:
@@ -202,7 +202,7 @@ def cmd_score(args, by_rank: bool = False) -> int:
         raise InputError(
             f"score kind {kind.value!r} needs a distribution in the document"
         )
-    report = score_all(source, q, kind, cap)
+    report = score_all(source, q, kind, args.max_endogenous)
     _require_printable(*report.values().values())
     if args.format == "json":
         _emit_json(report.to_json_dict())
@@ -285,7 +285,7 @@ def cmd_dichotomy(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    cap = _resolve_cap(args)
+    cap = args.max_endogenous
     doc = _load(args)
     q = _load_query(args, doc)
     # Each check asks for scores the others ask for too; one request
@@ -316,13 +316,12 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    cap = _resolve_cap(args)
     doc = _load(args)
     q = _load_query(args, doc)
     targets = _parse_targets(args.tuple)
     if not targets:
         raise InputError("oracle-compare needs at least one --tuple")
-    report = gces_oracle(doc.space, q, targets, cap)
+    report = gces_oracle(doc.space, q, targets, args.max_endogenous)
     _require_printable(report.materialized, report.direct, report.subset_form or 0)
     if args.format == "json":
         payload = {
@@ -412,6 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_threads(args)
+        args.max_endogenous = _resolve_cap(args)
         return args.func(args)
     except (DichotomyError, ResourceLimitError, InvalidSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

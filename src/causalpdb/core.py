@@ -229,8 +229,9 @@ class RelationSchema:
 class InstanceStore:
     """A schema plus a set of identified tuples, with the derived
     endogenous/exogenous partition and active domain.  The schema is a
-    read-only view and the tuple-id sets are read-only properties, so a
-    space's verdict on the instance holds."""
+    read-only view, the tuple-id sets are read-only properties and the
+    record indexes cannot be replaced, so a space's verdict on the instance
+    holds."""
 
     def __init__(self, schema: Mapping[str, RelationSchema], records: Iterable[TupleRecord]):
         self._schema: Mapping[str, RelationSchema] = MappingProxyType(dict(schema))
@@ -297,6 +298,15 @@ class InstanceStore:
                 index.setdefault((rec.predicate, pos, arg), []).append(rec)
         return {key: tuple(recs) for key, recs in index.items()}
 
+    def __setattr__(self, name: str, value) -> None:
+        # The indexes are plain dicts cached in the instance's __dict__, so
+        # the homomorphism walk reads them with no descriptor call and no
+        # proxy; assignment is refused here (a read-only mapping measured
+        # slower on cli-requests than two runs of one tree differ).
+        if name in ("records_by_predicate", "records_by_argument"):
+            raise AttributeError(f"InstanceStore.{name} is read-only")
+        super().__setattr__(name, value)
+
     def __len__(self) -> int:
         return len(self._by_tid)
 
@@ -310,14 +320,6 @@ class InstanceStore:
         if tids is None:
             return [self._by_tid[t] for t in sorted(self._by_tid)]
         return [self.record(t) for t in sorted(set(tids))]
-
-    def facts(self, tids: Iterable[str]) -> set[tuple[str, tuple[Constant, ...]]]:
-        try:
-            return {self._by_tid[t].fact for t in tids}
-        except KeyError as exc:
-            # Name the least unknown id, not the first in iteration order.
-            unknown = {exc.args[0], *(t for t in tids if t not in self._by_tid)}
-            raise InputError(f"unknown tuple id {min(unknown)!r}") from None
 
     def adom(self) -> frozenset[Constant]:
         return frozenset(a for r in self._by_tid.values() for a in r.args)
@@ -347,7 +349,9 @@ class ExplicitWorlds:
             world = frozenset(tids)
             mass = mass if isinstance(mass, Probability) else Probability(mass)
             masses[world] = masses.get(world, Fraction(0)) + mass
-        self.masses: Mapping[frozenset[str], Fraction] = MappingProxyType(masses)
+        self._masses: Mapping[frozenset[str], Fraction] = MappingProxyType(masses)
+
+    masses = property(lambda self: self._masses)
 
     def support(self) -> list[tuple[frozenset[str], Fraction]]:
         nonzero = [(w, m) for w, m in self.masses.items() if m != 0]
@@ -364,10 +368,12 @@ class TupleIndependent:
 
     def __init__(self, marginals: Mapping[str, Probability]):
         # A Probability is checked already; anything else is coerced here.
-        self.marginals: Mapping[str, Probability] = MappingProxyType({
+        self._marginals: Mapping[str, Probability] = MappingProxyType({
             tid: p if isinstance(p, Probability) else Probability(p)
             for tid, p in marginals.items()
         })
+
+    marginals = property(lambda self: self._marginals)
 
 
 Representation = ExplicitWorlds | TupleIndependent
@@ -450,22 +456,23 @@ def validate(pdb: PDBSpace) -> list[Violation]:
                     )
     else:
         assert isinstance(rep, TupleIndependent)
-        for tid in sorted(rep.marginals):
+        marginals = rep.marginals
+        for tid in sorted(marginals):
             if tid not in inst:
                 out.append(
                     Violation("unknown-tid", f"marginal for unknown tuple id {tid!r}")
                 )
         for tid in sorted(inst.tids):
-            if tid not in rep.marginals:
+            if tid not in marginals:
                 out.append(
                     Violation("missing-marginal", f"tuple {tid!r} has no marginal")
                 )
-            elif tid in inst.exogenous and rep.marginals[tid] != 1:
+            elif tid in inst.exogenous and marginals[tid] != 1:
                 out.append(
                     Violation(
                         "exogenous-marginal",
                         f"exogenous tuple {tid!r} has marginal "
-                        f"{rep.marginals[tid]}, expected 1",
+                        f"{marginals[tid]}, expected 1",
                     )
                 )
     return out
@@ -532,89 +539,59 @@ def enumerate_worlds(
     """All nonzero-mass worlds with their masses, in canonical order:
     lexicographic over the worlds' sorted tuple-id lists.
 
-    Explicit spaces stream their stored support.  Independent spaces stream
-    the supersets of the always-present tuples (exogenous ones and those
-    with marginal 1), branching only on tuples with marginal strictly
-    between 0 and 1; the emitted masses sum to exactly 1.  The walk
-    multiplies integer numerators over one common denominator, the product
-    of the open marginals' denominators, and builds one reduced
-    ``Fraction`` per world.
+    Explicit spaces stream their stored support.  An independent space's
+    worlds are its sure tuples (marginal 1) plus any subset of its open
+    ones (0 < marginal < 1), walked one recursion level per open tuple in
+    tid order, so more of them than the cap or than half the recursion
+    limit are refused.  At an open tuple the worlds taking it come first,
+    unless no sure tuple sorts after it: then the world leaving it and all
+    later open tuples out is a prefix of them and comes first.  A mass is
+    an integer numerator (a marginal a/d gives a in, d - a out) over the
+    product of the open denominators, reduced once per world.
     """
     rep = pdb.representation
     if isinstance(rep, ExplicitWorlds):
         yield from rep.support()
         return
     assert isinstance(rep, TupleIndependent)
-    inst = pdb.instance
-    fixed: list[str] = []
-    free: list[str] = []
-    for tid in sorted(inst.tids):
+    sure: list[str] = []
+    opened: list[tuple[str, int, int]] = []  # (tid, a, d) of a marginal a/d
+    for tid in sorted(pdb.instance.tids):
         p = rep.marginals[tid]
         if p == 1:
-            fixed.append(tid)
+            sure.append(tid)
         elif p != 0:
-            free.append(tid)
+            opened.append((tid, p.numerator, p.denominator))
     limit = DEFAULT_WORLD_CAP if cap is None else cap
-    if len(free) > limit:
+    if len(opened) > limit:
         raise ResourceLimitError(
-            f"{len(free)} tuples with open marginals exceed the world "
+            f"{len(opened)} tuples with open marginals exceed the world "
             f"enumeration cap of {limit}"
         )
-    members = sorted(fixed + free)
-    fixed_set = frozenset(fixed)
-    # Masses are integer numerators over one common denominator: the
-    # product of the open marginals' denominators.  An open marginal a/d
-    # contributes a when its tuple is in and d - a when it is out.
-    weight_in: dict[str, int] = {}
-    weight_out: dict[str, int] = {}
-    denominator = 1
-    for tid in free:
-        p = rep.marginals[tid]
-        weight_in[tid] = p.numerator
-        weight_out[tid] = p.denominator - p.numerator
-        denominator *= p.denominator
-    # suffix_out[i] = numerator of excluding every free tuple at position >= i
-    suffix_out = [1] * (len(members) + 1)
-    for i in range(len(members) - 1, -1, -1):
-        suffix_out[i] = weight_out.get(members[i], 1) * suffix_out[i + 1]
-    next_fixed = [len(members)] * (len(members) + 1)
-    for i in range(len(members) - 1, -1, -1):
-        next_fixed[i] = i if members[i] in fixed_set else next_fixed[i + 1]
+    depth = sys.getrecursionlimit() // 2
+    if len(opened) > depth:
+        raise ResourceLimitError(
+            f"{len(opened)} tuples with open marginals exceed the world walk's "
+            f"depth of {depth}, half the interpreter's recursion limit"
+        )
+    base = frozenset(sure)
+    denominator = math.prod(d for _, _, d in opened)
 
-    # Depth-first in lexicographic list order on an explicit stack, so the
-    # depth is not bounded by the recursion limit.  Stopping (excluding all
-    # remaining tuples) sorts before any extension, and is legal only when
-    # no always-present tuple remains.  A frame holds the next member to
-    # add, the last member addable without skipping an always-present one,
-    # and the prefix's mass numerator with the members skipped so far
-    # excluded.
-    n = len(members)
-    chosen: list[str] = []
-    stack: list[list] = []
-    start, mass = 0, 1
-    while True:
-        if next_fixed[start] == n:
-            yield frozenset(chosen), Fraction(mass * suffix_out[start], denominator)
-        stack.append([start, min(next_fixed[start], n - 1), mass])
-        while stack:
-            frame = stack[-1]
-            idx, last, running = frame
-            if idx <= last:
-                break
-            stack.pop()
-            if stack:
-                chosen.pop()
-        else:
+    def walk(i: int, chosen: tuple[str, ...], mass: int):
+        tid, a, d = opened[i]
+        first = not sure or tid > sure[-1]  # no sure tuple sorts after tid
+        if i + 1 == len(opened):  # the last open tuple: two worlds, no descent
+            pair = [(chosen + (tid,), mass * a), (chosen, mass * (d - a))]
+            for members, numerator in pair[::-1] if first else pair:
+                yield base.union(members), Fraction(numerator, denominator)
             return
-        tid = members[idx]
-        frame[0] = idx + 1
-        if tid in fixed_set:
-            mass = running
-        else:
-            mass = running * weight_in[tid]
-            frame[2] = running * weight_out[tid]
-        chosen.append(tid)
-        start = idx + 1
+        rest = walk(i + 1, chosen, mass * (d - a))
+        if first:
+            yield next(rest)
+        yield from walk(i + 1, chosen + (tid,), mass * a)
+        yield from rest
+
+    yield from walk(0, (), 1) if opened else [(base, Fraction(1))]
 
 
 def make_uniform_tid(instance: InstanceStore) -> PDBSpace:

@@ -634,11 +634,10 @@ Marginals = Mapping[str, Fraction]  # tid -> P(tuple)
 @dataclass(frozen=True)
 class _Route:
     """How a query's expectations on a space are computed: the backend
-    label and, on the lifted and closed-form routes, a dict copy of the
-    validated space's tuple marginals (`Intervention.force` unpacks it twice
-    per tuple, which is slow on the space's read-only view) with the
-    expectation that reads them (or a copy of them with some overridden, as
-    an intervention does).  The world route has neither."""
+    label and, on the lifted and closed-form routes, the validated space's
+    tuple marginals (`_plain`) with the expectation that reads them (or a
+    copy of them with some overridden, as an intervention does).  The world
+    route has neither."""
 
     backend: str
     marginals: Marginals | None = None
@@ -658,16 +657,22 @@ def _route(pdb: PDBSpace, q: Query, backend: str = "auto") -> _Route:
         return _Route(BRUTE)
     if backend == "auto" and isinstance(q, Aggregate):
         if pdb.is_tid and q.op == SUM and len(q.atoms) == 1:
-            marginals = pdb.representation.marginals.copy()
-            return _Route(CLOSED_FORM, marginals, _closed_form_sum(pdb.instance, q))
+            return _Route(CLOSED_FORM, _plain(pdb), _closed_form_sum(pdb.instance, q))
         return _Route(BRUTE)
     reasons = lifted_rejections(pdb, q)
     if reasons:
         if backend == LIFTED:
             raise DichotomyError("; ".join(reasons))
         return _Route(BRUTE)
-    marginals = pdb.representation.marginals.copy()
-    return _Route(LIFTED, marginals, _lifted_plan(pdb.instance, q).probability)
+    return _Route(LIFTED, _plain(pdb), _lifted_plan(pdb.instance, q).probability)
+
+
+def _plain(pdb: PDBSpace) -> dict[str, Fraction]:
+    """A dict copy of the validated space's marginals, as plain
+    ``Fraction``s: `Intervention.force` unpacks it twice per tuple, which
+    is slow on the space's read-only view, and arithmetic with a
+    `Probability`, a subclass, pays an ABC instance check per operation."""
+    return {tid: Fraction(p) for tid, p in pdb.representation.marginals.items()}
 
 
 def _closed_form_sum(instance: InstanceStore, q: Aggregate) -> Callable[[Marginals], Fraction]:
@@ -731,10 +736,12 @@ class _Or:
         self.children = children
 
     def probability(self, marginals: Marginals) -> Fraction:
-        miss = Fraction(1)
+        # Fraction minus Fraction: an int minus a Fraction pays an ABC
+        # instance check.
+        one = miss = Fraction(1)
         for child in self.children:
-            miss *= 1 - child.probability(marginals)
-        return 1 - miss
+            miss *= one - child.probability(marginals)
+        return one - miss
 
 
 def _either(children: list):

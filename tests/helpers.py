@@ -177,10 +177,15 @@ def all_worlds_with_mass(pdb: PDBSpace):
         yield world, mass
 
 
+def world_facts(instance: InstanceStore, world) -> set:
+    """The (predicate, args) facts of a world's tuples."""
+    return {instance.record(t).fact for t in world}
+
+
 def oracle_query_probability(pdb: PDBSpace, q) -> Fraction:
     total = Fraction(0)
     for world, mass in all_worlds_with_mass(pdb):
-        if mass and oracle_eval(q, pdb.instance.facts(world)):
+        if mass and oracle_eval(q, world_facts(pdb.instance, world)):
             total += mass
     return total
 

@@ -716,6 +716,25 @@ def test_negative_cap_is_an_input_error(capsys, monkeypatch, argv):
     assert code == (0 if argv[1] == "gces" else 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--pdb", FIXTURES / "four_worlds_pdb.json"],
+    ["intervene", "--pdb", FIXTURES / "four_worlds_pdb.json", "--in", "t1"],
+    ["dichotomy", "--query", FIXTURES / "nonhier_query.q"],
+])
+def test_every_command_refuses_a_bad_cap(capsys, monkeypatch, argv):
+    # Commands that enumerate nothing refuse a bad cap as `score` does.
+    code, out, err = run(capsys, *argv, "--max-endogenous", "-5")
+    assert (code, out, err) == (2, "", "error: --max-endogenous must not be negative, got -5\n")
+    monkeypatch.setenv("CES_MAX_WORLDS", "-2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: CES_MAX_WORLDS must not be negative, got -2\n")
+    monkeypatch.setenv("CES_MAX_WORLDS", "abc")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: CES_MAX_WORLDS='abc' is not an integer\n")
+    monkeypatch.delenv("CES_MAX_WORLDS")
+    assert run(capsys, *argv, "--max-endogenous", "0")[0] == 0
+
+
 def test_thread_count_never_changes_output(capsys):
     outputs = []
     for threads in ("1", "7"):

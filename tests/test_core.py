@@ -25,6 +25,7 @@ from causalpdb import (
     load_pdb_file,
     make_uniform_tid,
     parse_pdb_document,
+    query_probability,
     space_to_document,
     tuple_probability,
     validate,
@@ -39,7 +40,7 @@ from causalpdb.core import (
     parse_constant,
 )
 
-from helpers import FIXTURES, all_worlds_with_mass, four_worlds_space
+from helpers import FIXTURES, all_worlds_with_mass, four_worlds_space, path_query
 
 
 def small_instance(n=3, kinds=None):
@@ -273,7 +274,12 @@ def test_space_and_tables_are_read_only():
     uniform = make_uniform_tid(space.instance)
     with pytest.raises(TypeError):
         uniform.representation.marginals["t1"] = 5
+    with pytest.raises(AttributeError):
+        space.representation.masses = {frozenset({"t1", "t2", "t3"}): Fraction(1, 2)}
+    with pytest.raises(AttributeError):
+        uniform.representation.marginals = {"t1": Fraction(1)}
     assert validate(space) == validate(uniform) == []
+    assert query_probability(space, path_query(), "brute") == Fraction(3, 5)
 
 
 def test_instance_is_read_only():
@@ -291,7 +297,12 @@ def test_instance_is_read_only():
             setattr(inst, name, value)
     with pytest.raises(TypeError):
         inst.schema["R"] = RelationSchema("R", 3)
+    for name in ("records_by_predicate", "records_by_argument"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, {})
     assert (inst.endogenous, inst.exogenous) == (frozenset({"t1"}), frozenset())
+    assert dict(inst.records_by_predicate) == {"P": (inst.record("t1"),)}
+    assert dict(inst.records_by_argument) == {("P", 0, "c1"): (inst.record("t1"),)}
     assert dict(inst.schema) == {"P": RelationSchema("P", 1)}
     assert validate(space) == []
     assert [world for world, _ in enumerate_worlds(space)] == [frozenset(), frozenset({"t1"})]
@@ -622,6 +633,75 @@ def test_tid_enumeration_matches_the_definition():
         assert sum((m for _, m in got), Fraction(0)) == 1
         open_counts.add(sum(1 for p in marginals.values() if 0 < p < 1))
     assert {0, 1, 4} <= open_counts
+
+
+def test_tid_enumeration_orders_open_tuples_among_sure_ones():
+    # Few open tuples among many sure ones, sure tuples sorting before,
+    # between and after the open ones, marginal-0 tuples, draws without an
+    # open tuple, and the empty string as a tuple id (it sorts first).
+    ids = ["", "a", "a0", "b", "c", "d", "e", "f", "g", "z"]
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(120):
+        tids = rng.sample(ids, rng.randint(1, len(ids)))
+        opened = rng.sample(tids, rng.randint(0, min(3, len(tids))))
+        rest = sorted(set(tids) - set(opened))
+        zeros = rng.sample(rest, rng.randint(0, min(1, len(rest))))
+        records, marginals = [], {}
+        for tid in tids:
+            sure = tid not in opened and tid not in zeros
+            kind = "exogenous" if sure and rng.random() < 0.5 else "endogenous"
+            records.append(TupleRecord(tid, "P", (tid,), kind))
+            marginals[tid] = Probability(
+                rng.choice(["1/2", "2/7"]) if tid in opened else int(sure)
+            )
+        inst = InstanceStore({"P": RelationSchema("P", 1)}, records)
+        space = PDBSpace(inst, TupleIndependent(marginals))
+        want = sorted(
+            ((w, m) for w, m in all_worlds_with_mass(space) if m),
+            key=lambda item: tuple(sorted(item[0])),
+        )
+        assert list(enumerate_worlds(space)) == want, marginals
+        sure = [t for t in tids if marginals[t] == 1]
+        if opened:
+            seen.update(
+                where for where, hit in (
+                    ("before", any(t < min(opened) for t in sure)),
+                    ("between", any(min(opened) < t < max(opened) for t in sure)),
+                    ("after", any(t > max(opened) for t in sure)),
+                    ("empty id open", "" in opened),
+                ) if hit
+            )
+        else:
+            seen.add("no open")
+        if zeros:
+            seen.add("zero")
+        if "" in sure:
+            seen.add("empty id sure")
+    assert seen == {
+        "before", "between", "after", "no open", "zero", "empty id open", "empty id sure",
+    }
+
+
+def test_world_walk_depth_is_bounded():
+    # Thousands of sure tuples cost no depth; 4 open tuples give 16 worlds.
+    schema = {"P": RelationSchema("P", 1)}
+    sure = [TupleRecord(f"e{i}", "P", (f"e{i}",), "exogenous") for i in range(3000)]
+    opened = [TupleRecord(f"r{i}", "P", (f"r{i}",), "endogenous") for i in range(4)]
+    space = make_uniform_tid(InstanceStore(schema, sure + opened))
+    worlds = list(enumerate_worlds(space))
+    keys = [tuple(sorted(w)) for w, _ in worlds]
+    assert len(worlds) == 16 and keys == sorted(keys)
+    assert sum(m for _, m in worlds) == 1
+    # More open tuples than the interpreter can descend are refused up
+    # front, whatever the cap, instead of ending in a RecursionError.
+    space = make_uniform_tid(small_instance(1200))
+    with pytest.raises(ResourceLimitError, match="1200 tuples with open marginals"):
+        next(enumerate_worlds(space, cap=5000))
+    walk = enumerate_worlds(make_uniform_tid(small_instance(400)), cap=400)
+    assert [next(walk)[0] for _ in range(3)] == [
+        frozenset(), frozenset({"t1"}), frozenset({"t1", "t10"}),
+    ]
 
 
 # ---------------------------------------------------------------------------
