@@ -45,7 +45,6 @@ from .queries import (
 from .scores import (
     EndoWorlds,
     ScoreKind,
-    _pack,
     _swing_scorer,
     _swing_scores,
     banzhaf,
@@ -167,7 +166,7 @@ def check_sym(
     score equally."""
     _require_boolean(q)
     worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
-    table = _pack(worlds.value_table(q))
+    table = worlds.packed_table(q)
     witnesses = []
     scores: dict[str, Fraction] = {}
     for ta, tb in itertools.combinations(worlds.order, 2):
@@ -223,7 +222,7 @@ def check_g_sym(
     score minus weighted power must coincide."""
     _require_boolean(q)
     worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
-    table = _pack(worlds.value_table(q))
+    table = worlds.packed_table(q)
     weighted = _swing_scorer(worlds, table, ScoreKind.WEIGHTED_POWER, worlds.mass_table(pdb))
     witnesses = []
     adjusted: dict[str, Fraction] = {}

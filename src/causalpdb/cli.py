@@ -65,7 +65,8 @@ def _require_printable(*values) -> None:
     Python converts to text (`sys.get_int_max_str_digits`, 0 = no limit)."""
     limit = sys.get_int_max_str_digits()
     for value in values if limit else ():
-        for part in (abs(value.numerator), value.denominator):
+        num, den = value.as_integer_ratio()
+        for part in (abs(num), den):
             # Below 2**(3*limit) < 10**limit a part has at most `limit` digits.
             if part.bit_length() > 3 * limit and part >= 10 ** limit:
                 raise ResourceLimitError(

@@ -65,22 +65,45 @@ class Probability(Fraction):
         else:
             self = super().__new__(cls, value, denominator)
         if not 0 <= self <= 1:
-            raise InputError(f"probability {str(self)!r} outside [0, 1]")
+            raise InputError(f"probability {_number_text(self)!r} outside [0, 1]")
         return self
 
     @classmethod
     def from_wire(cls, text) -> "Probability":
         """Parse a probability from its wire form: a decimal string like
-        ``"0.25"`` or a rational string like ``"1/12"``."""
+        ``"0.25"`` or a rational string like ``"1/12"``.
+
+        The plain forms (ASCII digits around one ``/``, or around at most
+        one ``.``) are read as an integer pair, checked for range once on
+        the integers and built as one ``Fraction``.  Every other string,
+        and every plain one out of range or past Python's digit limit,
+        takes the general route (`_parse_fraction`), so the accepted
+        strings, the values and the messages are those of that route."""
         if not isinstance(text, str):
             raise InputError(
                 f"probability must be a decimal or num/den string, got {text!r}"
             )
+        plain = _PLAIN_PROBABILITY.fullmatch(text)
+        if plain is not None:
+            num, den, whole, decimals = plain.groups()
+            try:
+                if den is None:
+                    num, den = int(whole + decimals), 10 ** len(decimals)
+                else:
+                    num, den = int(num), int(den)
+            except ValueError:  # no digits, or past the digit limit
+                pass
+            else:
+                if num <= den and den:
+                    return Fraction.__new__(cls, num, den)
         try:
             value = _parse_fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
         return cls(value)
+
+
+_PLAIN_PROBABILITY = re.compile(r"([0-9]+)/([0-9]+)|([0-9]*)\.?([0-9]*)")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -95,6 +118,15 @@ def _parse_fraction(text: str) -> Fraction:
 def parse_constant(value, tag: str | None = None) -> Constant:
     """Normalize a wire-level constant: strings stay symbolic unless the
     position is tagged numeric, ints become Fractions, floats are rejected."""
+    if isinstance(value, str):  # the common case, checked first
+        if tag == NUMERIC:
+            try:
+                return _parse_fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(
+                    f"value {value!r} in a numeric position is not a number"
+                ) from exc
+        return value
     if isinstance(value, bool):
         raise InputError(f"boolean constant {value!r} not allowed")
     if isinstance(value, float):
@@ -105,15 +137,6 @@ def parse_constant(value, tag: str | None = None) -> Constant:
         return Fraction(value)
     if isinstance(value, Fraction):
         return Fraction(value.numerator, value.denominator)
-    if isinstance(value, str):
-        if tag == NUMERIC:
-            try:
-                return _parse_fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(
-                    f"value {value!r} in a numeric position is not a number"
-                ) from exc
-        return value
     raise InputError(f"unsupported constant {value!r}")
 
 
@@ -162,12 +185,11 @@ def fraction_to_wire(value: Fraction) -> str:
 
 def fraction_to_decimal(value: Fraction, places: int = 6) -> str:
     """Round a rational to a fixed number of decimal places (half to even)."""
-    sign = "-" if value < 0 else ""
-    mag = -value if value < 0 else value
-    scale = 10 ** places
-    quot, rem = divmod(mag.numerator * scale, mag.denominator)
+    num, den = value.as_integer_ratio()
+    sign = "-" if num < 0 else ""
+    quot, rem = divmod(abs(num) * 10 ** places, den)
     twice = 2 * rem
-    if twice > mag.denominator or (twice == mag.denominator and quot % 2 == 1):
+    if twice > den or (twice == den and quot % 2 == 1):
         quot += 1
     text = str(quot).rjust(places + 1, "0")
     return f"{sign}{text[:-places]}.{text[-places:]}"
@@ -230,16 +252,17 @@ class InstanceStore:
     """A schema plus a set of identified tuples, with the derived
     endogenous/exogenous partition and active domain.  The schema is a
     read-only view, the tuple-id sets are read-only properties and the
-    record indexes cannot be replaced, so a space's verdict on the instance
-    holds."""
+    record indexes are handed out as read-only views, so a space's verdict
+    on the instance holds."""
 
     def __init__(self, schema: Mapping[str, RelationSchema], records: Iterable[TupleRecord]):
-        self._schema: Mapping[str, RelationSchema] = MappingProxyType(dict(schema))
-        self._by_tid: dict[str, TupleRecord] = {}
+        schema = dict(schema)
+        self._schema: Mapping[str, RelationSchema] = MappingProxyType(schema)
+        by_tid: dict[str, TupleRecord] = {}
         for rec in records:
-            if rec.tid in self._by_tid:
+            if rec.tid in by_tid:
                 raise InputError(f"duplicate tuple id {rec.tid!r}")
-            decl = self._schema.get(rec.predicate)
+            decl = schema.get(rec.predicate)
             if decl is None:
                 raise InputError(
                     f"tuple {rec.tid!r} uses undeclared relation {rec.predicate!r}"
@@ -262,9 +285,10 @@ class InstanceStore:
                             f"must be symbolic, got {_quoted(arg)}"
                         )
                 rec = TupleRecord(rec.tid, rec.predicate, args, rec.kind)
-            self._by_tid[rec.tid] = rec
-        self._tids = frozenset(self._by_tid)
-        self._endogenous = frozenset(t for t, r in self._by_tid.items() if r.is_endogenous)
+            by_tid[rec.tid] = rec
+        self._by_tid = by_tid
+        self._tids = frozenset(by_tid)
+        self._endogenous = frozenset(t for t, r in by_tid.items() if r.kind == ENDOGENOUS)
         self._exogenous = self._tids - self._endogenous
         self._endogenous_order = tuple(sorted(self._endogenous))
 
@@ -280,29 +304,39 @@ class InstanceStore:
         return tid in self._by_tid
 
     @cached_property
-    def records_by_predicate(self) -> dict[str, tuple[TupleRecord, ...]]:
-        """Each predicate's records, in tuple-id order; built once."""
+    def _predicate_index(self) -> dict[str, tuple[TupleRecord, ...]]:
         by_pred: dict[str, list[TupleRecord]] = {}
         for rec in self.records():
             by_pred.setdefault(rec.predicate, []).append(rec)
         return {pred: tuple(recs) for pred, recs in by_pred.items()}
 
     @cached_property
-    def records_by_argument(self) -> dict[tuple, tuple[TupleRecord, ...]]:
-        """The records holding a constant at an argument position, keyed
-        by (predicate, position, constant), in tuple-id order; built once.
-        Keys compare as constants do, so ``"1"`` and ``Fraction(1)`` differ."""
+    def _argument_index(self) -> dict[tuple, tuple[TupleRecord, ...]]:
         index: dict[tuple, list[TupleRecord]] = {}
         for rec in self.records():
             for pos, arg in enumerate(rec.args):
                 index.setdefault((rec.predicate, pos, arg), []).append(rec)
         return {key: tuple(recs) for key, recs in index.items()}
 
+    @cached_property
+    def records_by_predicate(self) -> Mapping[str, tuple[TupleRecord, ...]]:
+        """Each predicate's records, in tuple-id order, as a read-only view
+        of an index built once."""
+        return MappingProxyType(self._predicate_index)
+
+    @cached_property
+    def records_by_argument(self) -> Mapping[tuple, tuple[TupleRecord, ...]]:
+        """The records holding a constant at an argument position, keyed
+        by (predicate, position, constant), in tuple-id order, as a
+        read-only view of an index built once.  Keys compare as constants
+        do, so ``"1"`` and ``Fraction(1)`` differ.  The homomorphism walk
+        (`queries._homomorphisms`) reads the index itself, once per walk:
+        a view's lookup costs a method lookup more per atom."""
+        return MappingProxyType(self._argument_index)
+
     def __setattr__(self, name: str, value) -> None:
-        # The indexes are plain dicts cached in the instance's __dict__, so
-        # the homomorphism walk reads them with no descriptor call and no
-        # proxy; assignment is refused here (a read-only mapping measured
-        # slower on cli-requests than two runs of one tree differ).
+        # The views are cached in the instance's __dict__, where a plain
+        # assignment would replace them.
         if name in ("records_by_predicate", "records_by_argument"):
             raise AttributeError(f"InstanceStore.{name} is read-only")
         super().__setattr__(name, value)
@@ -533,6 +567,11 @@ def _ratio_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(num, den)
 
 
+#: Open tuples whose choices `enumerate_worlds` lists up front (at most
+#: 2**10 entries), below the walk's recursion over the earlier ones.
+_LISTED_OPEN = 10
+
+
 def enumerate_worlds(
     pdb: PDBSpace, cap: int | None = None
 ) -> Iterator[tuple[frozenset[str], Fraction]]:
@@ -541,13 +580,15 @@ def enumerate_worlds(
 
     Explicit spaces stream their stored support.  An independent space's
     worlds are its sure tuples (marginal 1) plus any subset of its open
-    ones (0 < marginal < 1), walked one recursion level per open tuple in
-    tid order, so more of them than the cap or than half the recursion
-    limit are refused.  At an open tuple the worlds taking it come first,
-    unless no sure tuple sorts after it: then the world leaving it and all
-    later open tuples out is a prefix of them and comes first.  A mass is
-    an integer numerator (a marginal a/d gives a in, d - a out) over the
-    product of the open denominators, reduced once per world.
+    ones (0 < marginal < 1), in tid order: the choices of the last
+    `_LISTED_OPEN` open tuples are listed once, bottom up, and the earlier
+    ones are walked one recursion level each, each level running through
+    that list at its end.  More open tuples than the cap or than half the
+    recursion limit are refused.  At an open tuple the worlds taking it
+    come first, unless no sure tuple sorts after it: then the world leaving
+    it and all later open tuples out is a prefix of them and comes first.
+    A mass is an integer numerator (a marginal a/d gives a in, d - a out)
+    over the product of the open denominators, reduced once per world.
     """
     rep = pdb.representation
     if isinstance(rep, ExplicitWorlds):
@@ -576,22 +617,29 @@ def enumerate_worlds(
         )
     base = frozenset(sure)
     denominator = math.prod(d for _, _, d in opened)
+    first = lambda tid: not sure or tid > sure[-1]  # no sure tuple sorts after tid
+    # The last open tuples' choices in world order, built bottom up once,
+    # as (members, numerator factor) pairs.
+    top = max(len(opened) - _LISTED_OPEN, 0)
+    tail: list[tuple[tuple[str, ...], int]] = [((), 1)]
+    for tid, a, d in reversed(opened[top:]):
+        ins = [((tid,) + members, factor * a) for members, factor in tail]
+        outs = [(members, factor * (d - a)) for members, factor in tail]
+        tail = outs[:1] + ins + outs[1:] if first(tid) else ins + outs
 
     def walk(i: int, chosen: tuple[str, ...], mass: int):
-        tid, a, d = opened[i]
-        first = not sure or tid > sure[-1]  # no sure tuple sorts after tid
-        if i + 1 == len(opened):  # the last open tuple: two worlds, no descent
-            pair = [(chosen + (tid,), mass * a), (chosen, mass * (d - a))]
-            for members, numerator in pair[::-1] if first else pair:
-                yield base.union(members), Fraction(numerator, denominator)
+        if i == top:
+            for members, factor in tail:
+                yield base.union(chosen + members), Fraction(mass * factor, denominator)
             return
+        tid, a, d = opened[i]
         rest = walk(i + 1, chosen, mass * (d - a))
-        if first:
+        if first(tid):
             yield next(rest)
         yield from walk(i + 1, chosen + (tid,), mass * a)
         yield from rest
 
-    yield from walk(0, (), 1) if opened else [(base, Fraction(1))]
+    yield from walk(0, (), 1)
 
 
 def make_uniform_tid(instance: InstanceStore) -> PDBSpace:
@@ -616,6 +664,9 @@ class PdbDocument:
 
     instance: InstanceStore
     space: PDBSpace | None
+
+
+_TUPLE_FIELDS = frozenset({"tid", "predicate", "args", "kind"})
 
 
 def parse_pdb_document(doc) -> PdbDocument:
@@ -647,8 +698,8 @@ def parse_pdb_document(doc) -> PdbDocument:
     for entry in tuple_list:
         if not isinstance(entry, dict):
             raise InputError(f"bad tuple entry {entry!r}")
-        missing = sorted({"tid", "predicate", "args", "kind"} - set(entry))
-        if missing:
+        if not entry.keys() >= _TUPLE_FIELDS:
+            missing = sorted(_TUPLE_FIELDS.difference(entry))
             raise InputError(f"tuple entry {entry!r} misses {missing}")
         if not isinstance(entry["predicate"], str):
             raise InputError(
@@ -656,14 +707,12 @@ def parse_pdb_document(doc) -> PdbDocument:
                 f"got {entry['predicate']!r}"
             )
         decl = schema.get(entry["predicate"])
-        tags = decl.tags if decl is not None else None
+        tags = (decl.tags or ()) if decl is not None else ()
         args = entry["args"]
         if not isinstance(args, list):
             raise InputError(f"tuple {entry['tid']!r}: args must be a list")
-        parsed = tuple(
-            parse_constant(a, tags[i] if tags and i < len(tags) else None)
-            for i, a in enumerate(args)
-        )
+        # An argument past the declared tags is parsed untagged.
+        parsed = tuple(map(parse_constant, args, tags + (None,) * len(args)))
         records.append(
             TupleRecord(str(entry["tid"]), entry["predicate"], parsed, entry["kind"])
         )

@@ -87,11 +87,14 @@ class Var:
 Term = Var | Constant
 
 
+_BARE_CONSTANT = re.compile(r"[a-z_][A-Za-z0-9_]*")
+
+
 def term_repr(term: Term) -> str:
     if isinstance(term, Var):
         return term.name
     if isinstance(term, str):
-        return term if re.fullmatch(r"[a-z_][A-Za-z0-9_]*", term) else f'"{term}"'
+        return term if _BARE_CONSTANT.fullmatch(term) else f'"{term}"'
     return constant_repr(term)
 
 
@@ -105,7 +108,7 @@ class Atom:
         return frozenset(t.name for t in self.terms if isinstance(t, Var))
 
     def __str__(self) -> str:
-        return f"{self.predicate}({','.join(term_repr(t) for t in self.terms)})"
+        return f"{self.predicate}({','.join(map(term_repr, self.terms))})"
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ class BCQ:
         return frozenset(v for a in self.atoms for v in a.variables)
 
     def __str__(self) -> str:
-        return ", ".join(str(a) for a in self.atoms)
+        return ", ".join(map(str, self.atoms))
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ class UBCQ:
     disjuncts: tuple[BCQ, ...]
 
     def __str__(self) -> str:
-        return " ; ".join(str(d) for d in self.disjuncts)
+        return " ; ".join(map(str, self.disjuncts))
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class Aggregate:
 
     def __str__(self) -> str:
         head = f"sum({self.target})" if self.op == SUM else "count()"
-        return f"{head} :- " + ", ".join(str(a) for a in self.atoms)
+        return f"{head} :- " + ", ".join(map(str, self.atoms))
 
 
 @dataclass(frozen=True)
@@ -182,35 +185,24 @@ def is_boolean(q: Query) -> bool:
 # Grammar
 # ---------------------------------------------------------------------------
 
+# One token per match: the whitespace before it, then its kind's group;
+# any other character is a ``bad`` token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<arrow>:-)
-  | (?P<lp>\()
-  | (?P<rp>\))
-  | (?P<comma>,)
-  | (?P<dot>\.)
-  | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<string>"[^"\n]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    \s*(?:
+      (?P<arrow>:-)
+    | (?P<lp>\()
+    | (?P<rp>\))
+    | (?P<comma>,)
+    | (?P<dot>\.)
+    | (?P<number>-?\d+(?:\.\d+)?)
+    | (?P<string>"[^"\n]*")
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
-
-
-def _tokens(text: str, line_no: int) -> Iterator[re.Match]:
-    """The tokens of one rule, as matches whose `lastgroup` is the token
-    kind, read as the parser asks for them."""
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise QuerySyntaxError(
-                f"line {line_no}, column {pos + 1}: unexpected character {text[pos]!r}"
-            )
-        if match.lastgroup != "ws":
-            yield match
-        pos = match.end()
 
 
 _MAX_BODY_ATOMS = 200  # the evaluators nest once per atom, within the recursion limit
@@ -218,28 +210,36 @@ _MAX_BODY_ATOMS = 200  # the evaluators nest once per atom, within the recursion
 
 class _RuleParser:
     """Reads one rule with one token of lookahead, pulled as the previous
-    one is consumed, so a refused rule is not tokenized past the refusal."""
+    one is consumed, so a refused rule is not tokenized past the refusal.
+    A token's kind and text are read once, as it is pulled."""
 
-    def __init__(self, tokens: Iterator[re.Match], line_no: int):
-        self.tokens = tokens
+    def __init__(self, text: str, line_no: int):
+        self.matches = _TOKEN_RE.finditer(text)
         self.line_no = line_no
-        self.current = next(tokens, None)
+        self.text = None
+        self.advance()
 
     def error(self, message: str) -> QuerySyntaxError:
-        tok = self.current
-        where = "end of rule" if tok is None else f"column {tok.start() + 1}"
+        where = "end of rule"
+        if self.kind is not None:
+            where = f"column {self.match.start(self.kind) + 1}"
         return QuerySyntaxError(f"line {self.line_no}, {where}: {message}")
 
-    def at(self, kind: str) -> bool:
-        return self.current is not None and self.current.lastgroup == kind
-
-    def advance(self) -> str:
-        text = self.current.group()
-        self.current = next(self.tokens, None)
-        return text
+    def advance(self) -> str | None:
+        """Consume the lookahead token and return its text; the next token,
+        if any, becomes the lookahead (kind and text None past the last)."""
+        consumed = self.text
+        self.match = match = next(self.matches, None)
+        self.kind = self.text = None
+        if match is not None:
+            self.kind = match.lastgroup
+            self.text = match[self.kind]
+            if self.kind == "bad":
+                raise self.error(f"unexpected character {self.text!r}")
+        return consumed
 
     def take(self, kind: str, what: str) -> str:
-        if not self.at(kind):
+        if self.kind != kind:
             raise self.error(f"expected {what}")
         return self.advance()
 
@@ -247,8 +247,8 @@ class _RuleParser:
         head_name = self.take("ident", "query name")
         self.take("lp", "'('")
         head: tuple[str, Var | None] = ("boolean", None)
-        if self.at("ident"):
-            op = self.current.group()
+        if self.kind == "ident":
+            op = self.text
             if op not in (SUM, COUNT):
                 raise self.error(
                     f"free variables are not supported; head must be (), "
@@ -269,7 +269,7 @@ class _RuleParser:
         self.take("rp", "')'")
         self.take("arrow", "':-'")
         atoms = [self.parse_atom()]
-        while self.at("comma"):
+        while self.kind == "comma":
             self.advance()
             if len(atoms) == _MAX_BODY_ATOMS:
                 raise self.error(
@@ -277,28 +277,28 @@ class _RuleParser:
                     f"the evaluators recurse once per atom"
                 )
             atoms.append(self.parse_atom())
-        if self.at("dot"):
+        if self.kind == "dot":
             self.advance()
-        if self.current is not None:
-            raise self.error(f"unexpected token {self.current.group()!r}")
+        if self.kind is not None:
+            raise self.error(f"unexpected token {self.text!r}")
         return head_name, head, tuple(atoms)
 
     def parse_atom(self) -> Atom:
         pred = self.take("ident", "relation name")
         self.take("lp", "'('")
         terms: list[Term] = []
-        if self.current is not None and not self.at("rp"):
+        if self.kind is not None and self.kind != "rp":
             terms.append(self.parse_term())
-            while self.at("comma"):
+            while self.kind == "comma":
                 self.advance()
                 terms.append(self.parse_term())
         self.take("rp", "')'")
         return Atom(pred, tuple(terms))
 
     def parse_term(self) -> Term:
-        if self.current is None:
+        kind, text = self.kind, self.text
+        if kind is None:
             raise self.error("expected a term")
-        kind, text = self.current.lastgroup, self.current.group()
         if kind == "number":
             try:
                 value = Fraction(text)
@@ -323,8 +323,8 @@ def parse_query(
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
         for piece in line.split(";"):
-            parser = _RuleParser(_tokens(piece, line_no), line_no)
-            if parser.current is not None:
+            parser = _RuleParser(piece, line_no)
+            if parser.kind is not None:
                 rules.append(parser.parse_rule())
     if not rules:
         raise QuerySyntaxError("no query rule found")
@@ -414,16 +414,26 @@ def _homomorphisms(
     candidates are the fewest records that agree with one of its bound
     positions (a constant, or a variable an earlier atom bound), read from
     the instance's argument index; `_unify` still checks every term of each
-    candidate."""
+    candidate.  Both indexes are read from the instance once per walk, as
+    the dicts behind its read-only views."""
+    return _walk(
+        atoms, instance._predicate_index, instance._argument_index, world, binding, chosen
+    )
+
+
+def _walk(
+    atoms: tuple[Atom, ...], by_predicate: dict, by_argument: dict,
+    world: frozenset[str] | None, binding: dict, chosen: list[str]
+) -> Iterator[dict]:
     if not atoms:
         yield binding
         return
     atom, rest = atoms[0], atoms[1:]
-    candidates = instance.records_by_predicate.get(atom.predicate, ())
+    candidates = by_predicate.get(atom.predicate, ())
     for pos, term in enumerate(atom.terms):
         value = binding.get(term.name, _UNSET) if isinstance(term, Var) else term
         if value is not _UNSET:
-            matches = instance.records_by_argument.get((atom.predicate, pos, value), ())
+            matches = by_argument.get((atom.predicate, pos, value), ())
             if len(matches) < len(candidates):
                 candidates = matches
     for rec in candidates:
@@ -432,7 +442,7 @@ def _homomorphisms(
         merged = _unify(atom, rec.args, binding)
         if merged is not None:
             chosen.append(rec.tid)
-            yield from _homomorphisms(rest, instance, world, merged, chosen)
+            yield from _walk(rest, by_predicate, by_argument, world, merged, chosen)
             chosen.pop()
 
 

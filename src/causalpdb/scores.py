@@ -113,6 +113,8 @@ class EndoWorlds:
             )
         self.bit = {tid: i for i, tid in enumerate(self.order)}
         self.size = 1 << len(self.order)
+        self._packed: int | None = None  # the last lineage table, packed
+        self._lacking: dict[int, int] = {}
 
     def mask_of(self, tids: Iterable[str]) -> int:
         mask = 0
@@ -130,18 +132,21 @@ class EndoWorlds:
         return self.endo_tids(mask) | self.instance.exogenous
 
     def value_table(self, q: Query) -> list:
-        """Q[W union D_ex] for every endogenous subset W.
+        """Q[W union D_ex] for every endogenous subset W, as a list.
 
         A BCQ or union is the DNF of its homomorphism images: W satisfies
         it iff W holds the endogenous part of some image, so the table is
-        the upward closure of those parts' masks.  With more images than
+        the upward closure of those parts' masks, built packed into one
+        integer, which is kept for the readers of the packed form
+        (`packed_table`).  With more images than
         masks, and for the other forms, every subset is evaluated instead;
         Boolean forms are monotone, so a mask whose strict submask already
         holds needs no homomorphism search."""
+        self._packed = None
         if isinstance(q, (BCQ, UBCQ)):
-            table = self._lineage_table(q)
-            if table is not None:
-                return list(_unpack(table, self.size))
+            self._packed = self._lineage_table(q)
+            if self._packed is not None:
+                return list(_unpack(self._packed, self.size))
         table = [None] * self.size
         monotone = is_boolean(q)
         for mask in range(self.size):
@@ -152,6 +157,13 @@ class EndoWorlds:
                     continue
             table[mask] = evaluate(q, self.instance, self.world(mask))
         return table
+
+    def packed_table(self, q: Query) -> int:
+        """A Boolean query's value table packed into one integer, bit W
+        set iff Q holds on W: the lineage's integer as `value_table` built
+        it, or the evaluated list packed (`_pack`)."""
+        values = self.value_table(q)
+        return _pack(values) if self._packed is None else self._packed
 
     def _lineage_table(self, q: BCQ | UBCQ) -> int | None:
         """The packed value table (bit W set iff W satisfies the query),
@@ -171,12 +183,15 @@ class EndoWorlds:
         """The masks without ``bit``, as one integer: runs of ``bit`` set
         bits alternating with runs of ``bit`` clear ones, built by copying
         the pattern onto itself at doubling distances: one shift and one OR
-        per doubling."""
-        mask = (1 << bit) - 1
-        span = bit << 1
-        while span < self.size:
-            mask |= mask << span
-            span <<= 1
+        per doubling.  Each bit's integer is built once per `EndoWorlds`."""
+        mask = self._lacking.get(bit)
+        if mask is None:
+            mask = (1 << bit) - 1
+            span = bit << 1
+            while span < self.size:
+                mask |= mask << span
+                span <<= 1
+            self._lacking[bit] = mask
         return mask
 
     def mass_table(self, pdb: PDBSpace) -> list[Fraction]:
@@ -239,8 +254,8 @@ def _levels(n: int) -> list[int]:
     levels = [1]
     for i in range(n):
         # k bits among i + 1: k among i without bit i, or k - 1 with it.
-        with_i = [0] + [level << (1 << i) for level in levels]
-        levels = [a | b for a, b in zip(levels + [0], with_i)]
+        span = 1 << i
+        levels = [a | b << span for a, b in zip(levels + [0], [0] + levels)]
     return levels
 
 
@@ -252,13 +267,14 @@ def _swing_scorer(
     its subset form) over one value table and, for the mass-weighted kinds,
     one mass table.
 
-    A Boolean table comes packed into one integer T (`_pack`), bit S set
-    iff Q holds on S.  For tuple bit b, the masks S without b that b swings
-    up are ``(T >> b) & ~T`` and those it swings down ``T & ~(T >> b)``,
-    both restricted to the masks without b; a score weighs the first set
-    minus the second.  The masses at a set's bits are summed as integer
-    (numerator, denominator) pairs (`_ratio_sum`).  An aggregate table
-    comes as the list and goes through `swing_sum`."""
+    A Boolean table comes packed into one integer T
+    (`EndoWorlds.packed_table`), bit S set iff Q holds on S.  For tuple bit
+    b, the masks S without b that b swings up are ``(T >> b) & ~T`` and
+    those it swings down ``T & ~(T >> b)``, both restricted to the masks
+    without b; a score weighs the first set minus the second.  The masses
+    at a set's bits are summed as integer (numerator, denominator) pairs
+    (`_ratio_sum`).  An aggregate table comes as the list and goes through
+    `swing_sum`."""
     n = len(worlds.order)
     denominator = 1 << max(n - 1, 0) if kind is ScoreKind.BANZHAF else 1
     if kind is ScoreKind.SHAPLEY:
@@ -281,7 +297,8 @@ def _swing_scorer(
 
     if kind is ScoreKind.SHAPLEY:
         levels = _levels(n)
-        weigh = lambda swings: sum(
+        # An empty swing set (a monotone table swings nothing down) weighs 0.
+        weigh = lambda swings: swings and sum(
             share * (swings & level).bit_count() for share, level in zip(shares, levels)
         )
     elif kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
@@ -290,11 +307,13 @@ def _swing_scorer(
     else:
         weigh = int.bit_count
 
+    complement = ~table
+
     def packed_score(tid: str) -> Fraction:
         bit = 1 << worlds.bit[tid]
         lacking = worlds.lacking(bit)
         shifted = table >> bit
-        up = shifted & ~table & lacking
+        up = shifted & complement & lacking
         down = table & ~shifted & lacking
         if kind is ScoreKind.GCES:  # weighed by p(S) + p(S + t)
             up, down = up | up << bit, down | down << bit
@@ -308,13 +327,16 @@ def _swing_scores(
 ) -> list[Fraction]:
     """Scores of the given tuples for a subset-enumeration kind (GCES meaning
     its subset form), all from one value table and, for the mass-weighted
-    kinds, one mass table."""
+    kinds, one mass table.  A Boolean query's table is read packed
+    (`EndoWorlds.packed_table`: a lineage's integer as built, never
+    unpacked and packed again), an aggregate's as the list."""
     instance = _instance_of(source)
     instance.require_endogenous(tids)
     worlds = EndoWorlds(instance, cap)
-    table = worlds.value_table(q)
     if is_boolean(q):
-        table = _pack(table)
+        table = worlds.packed_table(q)
+    else:
+        table = worlds.value_table(q)
     masses = None
     if kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
         masses = worlds.mass_table(source)
@@ -541,9 +563,10 @@ class ScoreReport:
     def to_json_dict(self) -> dict:
         scores = []
         for e in self.entries:
+            num, den = e.value.as_integer_ratio()
             item = {
                 "tid": e.tid,
-                "value": f"{e.value.numerator}/{e.value.denominator}",
+                "value": f"{num}/{den}",
                 "decimal": fraction_to_decimal(e.value),
                 "backend": e.backend,
             }
@@ -559,31 +582,33 @@ class ScoreReport:
         }
 
     def to_table(self, by_rank: bool = False) -> str:
-        order = list(self.ranking) if by_rank else [e.tid for e in self.entries]
-        by_tid = {e.tid: e for e in self.entries}
-        rank_of = {tid: i + 1 for i, tid in enumerate(self.ranking)}
-        rows = [("rank", "tid", "value", "exact", "backend")]
-        for tid in order:
-            e = by_tid[tid]
-            rows.append(
-                (
-                    str(rank_of[tid]),
-                    tid,
-                    fraction_to_decimal(e.value),
-                    f"{e.value.numerator}/{e.value.denominator}",
-                    e.backend,
-                )
+        rank_of = {tid: str(i) for i, tid in enumerate(self.ranking, start=1)}
+        rows = {}
+        for e in self.entries:
+            num, den = e.value.as_integer_ratio()
+            rows[e.tid] = (
+                rank_of[e.tid], e.tid, fraction_to_decimal(e.value), f"{num}/{den}", e.backend,
             )
-        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-        lines = [
-            "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        return "\n".join(lines)
+        table = [("rank", "tid", "value", "exact", "backend")]
+        table += (rows[tid] for tid in self.ranking) if by_rank else rows.values()
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "\n".join(
+            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+            for row in table
+        )
 
 
 def _rank(values: dict[str, Fraction]) -> tuple[str, ...]:
-    return tuple(sorted(values, key=lambda tid: (-values[tid], tid)))
+    """The tuple ids by value descending, ties by tuple id: sorted by id,
+    then stably by value in reverse, so no value is negated.  The values
+    are compared as integer numerators over their common denominator, not
+    as `Fraction`s, whose every comparison pays an ABC instance check."""
+    ratios = [value.as_integer_ratio() for value in values.values()]
+    common = math.lcm(*(den for _, den in ratios))
+    scaled = {tid: num * (common // den) for tid, (num, den) in zip(values, ratios)}
+    order = sorted(values)
+    order.sort(key=scaled.__getitem__, reverse=True)
+    return tuple(order)
 
 
 def score_all(

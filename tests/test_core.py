@@ -300,6 +300,11 @@ def test_instance_is_read_only():
     for name in ("records_by_predicate", "records_by_argument"):
         with pytest.raises(AttributeError):
             setattr(inst, name, {})
+        index = getattr(inst, name)
+        with pytest.raises(AttributeError):
+            index.clear()
+        with pytest.raises(TypeError):
+            index[next(iter(index))] = ()
     assert (inst.endogenous, inst.exogenous) == (frozenset({"t1"}), frozenset())
     assert dict(inst.records_by_predicate) == {"P": (inst.record("t1"),)}
     assert dict(inst.records_by_argument) == {("P", 0, "c1"): (inst.record("t1"),)}

@@ -1,10 +1,14 @@
 """Property tests for the two text parsers: whatever the input, the query
-parser and the document parser either succeed or raise `InputError`."""
+parser and the document parser either succeed or raise `InputError`; and
+the probability parser's integer-pair fast path answers as the general
+route does."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalpdb import InputError, RelationSchema, parse_pdb_document, parse_query
+from causalpdb import InputError, Probability, RelationSchema, parse_pdb_document, parse_query
+from causalpdb.core import _parse_fraction
 
 # Every character the query grammar knows, in the pieces it reads them as.
 QUERY_PIECES = [
@@ -93,6 +97,7 @@ def _one_tuple(predicate="R", arg="a", marginal="1/2", tag=None):
 @example(doc=_one_tuple(marginal="1e-3"))
 @example(doc=_one_tuple(marginal="2E5"))
 @example(doc=_one_tuple(marginal="1e-3000000"))
+@example(doc=_one_tuple(marginal="1" * 3000 + "." + "1" * 3000))  # > 1, past printing
 @example(doc=_one_tuple(arg="1e-3000000", tag="numeric"))
 @example(doc={"schema": {"R": 1}, "tuples": [], "worlds": [{"tids": 5, "p": "1"}]})
 def test_parse_pdb_document_raises_only_input_errors(doc):
@@ -100,3 +105,49 @@ def test_parse_pdb_document_raises_only_input_errors(doc):
         parse_pdb_document(doc)
     except InputError:
         pass
+
+
+def _general_route(text: str) -> Probability:
+    """`Probability.from_wire` without its fast path: every string through
+    `_parse_fraction`, with the same error wrapping."""
+    try:
+        value = _parse_fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
+    return Probability(value)
+
+
+def _outcome(parse, text):
+    """(type, value) of a parse, or (exception type, message)."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # the type is compared, so none is forgiven
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _assert_same_as_general_route(text):
+    assert _outcome(Probability.from_wire, text) == _outcome(_general_route, text)
+
+
+LONG = "1" * 4301  # one digit past the int conversion limit
+WIRE_PROBABILITIES = [
+    "1/2", "0.25", "1", "0", "1.0", "0/7", "6/4", "2/1", "1/0", "0/0", " 1/2 ", "+1/2",
+    "-0", "-1/2", "1_0/20", "0.2_5", "\u0661/\u0662", "\uff11/2", "\u00b2", ".5", "5.", "00.5",
+    ".", "", "/", "1/", "/2", "1//2", "1/2/3", "1.2.3", "1e-3", "1E5", "0x1",
+    "1 /2", "1/ 2", "\t1/2", "1/2\n", "nan", "inf",
+    f"{LONG}/{LONG}2", f"1/{LONG}", f"{LONG}/1", f"0.{LONG}", f"{LONG}.0",
+    f"0.{'0' * 4299}1", f"{'0' * 3000}.{'1' * 3000}", f"{'1' * 3000}.{'1' * 3000}",
+]
+
+
+@pytest.mark.parametrize("text", WIRE_PROBABILITIES)
+def test_probability_fast_path_matches_the_general_route_on_listed_strings(text):
+    _assert_same_as_general_route(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.from_regex(r"[0-9]{0,8}(/[0-9]{0,8}|\.?[0-9]{0,8})", fullmatch=True)
+       | st.text(alphabet="0123456789./ +-_eEx\t\u0661\u0662", max_size=10))
+def test_probability_fast_path_matches_the_general_route(text):
+    _assert_same_as_general_route(text)

@@ -38,7 +38,15 @@ from causalpdb import (
 from causalpdb import queries as queries_module
 from causalpdb import scores as scores_module
 from causalpdb.queries import BCQ, COUNT, UBCQ, Atom, Var, evaluate
-from causalpdb.scores import EndoWorlds, _causal_effect, _pack, _swing_scorer
+from causalpdb.scores import (
+    EndoWorlds,
+    ScoreEntry,
+    ScoreReport,
+    _causal_effect,
+    _pack,
+    _rank,
+    _swing_scorer,
+)
 
 from helpers import (
     CORPUS_SCHEMA,
@@ -1062,6 +1070,81 @@ def test_report_serialization():
     json.dumps(payload)  # must be JSON-serializable
     table = report.to_table(by_rank=True)
     assert "0.656250" in table and "21/32" in table
+
+
+def test_rank_orders_by_value_descending_then_tuple_id():
+    rng = random.Random(21)
+    for _ in range(300):
+        tids = rng.sample([f"t{i}" for i in range(30)] + ["", "a", "t"], rng.randint(0, 12))
+        pool = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 7, 12])) for _ in range(4)]
+        values = {tid: rng.choice(pool) for tid in tids}  # few values: many ties
+        assert _rank(values) == tuple(sorted(values, key=lambda t: (-values[t], t)))
+
+
+def test_table_rendering_is_unchanged():
+    values = {
+        "t3": Fraction(-1, 2), "t10": Fraction(1, 3), "t2": Fraction(1, 3),
+        "t1": Fraction(0), "t11": Fraction(12345, 7), "t0": Fraction(2, 6),
+    }
+    entries = tuple(
+        ScoreEntry(tid, value, "lifted" if tid == "t11" else "brute")
+        for tid, value in values.items()
+    )
+    report = ScoreReport(ScoreKind.BANZHAF, "Q", 6, entries, _rank(values))
+    assert report.ranking == ("t11", "t0", "t10", "t2", "t1", "t3")
+    assert report.to_table(by_rank=True) == (
+        "rank  tid  value        exact    backend\n"
+        "1     t11  1763.571429  12345/7  lifted\n"
+        "2     t0   0.333333     1/3      brute\n"
+        "3     t10  0.333333     1/3      brute\n"
+        "4     t2   0.333333     1/3      brute\n"
+        "5     t1   0.000000     0/1      brute\n"
+        "6     t3   -0.500000    -1/2     brute"
+    )
+    assert report.to_table() == (
+        "rank  tid  value        exact    backend\n"
+        "6     t3   -0.500000    -1/2     brute\n"
+        "3     t10  0.333333     1/3      brute\n"
+        "4     t2   0.333333     1/3      brute\n"
+        "5     t1   0.000000     0/1      brute\n"
+        "1     t11  1763.571429  12345/7  lifted\n"
+        "2     t0   0.333333     1/3      brute"
+    )
+
+
+@pytest.mark.parametrize("kind", ["banzhaf", "shapley", "power"])
+def test_boolean_subset_scores_never_repack_the_lineage(kind, tmp_path, capsys, monkeypatch):
+    from causalpdb.cli import main
+
+    from helpers import FIXTURES
+
+    bcq = tmp_path / "bcq.q"
+    bcq.write_text("Q() :- E(a,Z1), E(Z1,b)\n")
+    pdb = FIXTURES / "paths_instance.json"
+    runs = [("score", "--kind", kind, "--pdb", pdb, "--query", q)
+            for q in (bcq, FIXTURES / "path_query.q")]
+    expected = []
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(values):
+        raise AssertionError("a lineage table was unpacked and packed again")
+
+    monkeypatch.setattr(scores_module, "_pack", refuse)
+    for argv, out in zip(runs, expected):
+        assert main([str(a) for a in argv]) == 0
+        assert capsys.readouterr().out == out
+
+    # An aggregate's table stays a list and is summed by `swing_sum`.
+    sums = []
+    original = scores_module.swing_sum
+    monkeypatch.setattr(
+        scores_module, "swing_sum", lambda *args: sums.append(1) or original(*args)
+    )
+    code = main(["score", "--kind", kind, "--pdb", str(FIXTURES / "paths_full_instance.json"),
+                 "--query", str(FIXTURES / "sum_query.q")])
+    assert code == 0 and sums, capsys.readouterr().err
 
 
 def test_score_kind_requirements():
