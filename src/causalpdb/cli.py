@@ -32,7 +32,6 @@ from .core import (
     load_pdb_file,
     require_valid,
     space_to_document,
-    validate,
 )
 from .interventions import Intervention, intervene
 from .queries import (
@@ -154,7 +153,7 @@ def _check_threads(args):
 
 def cmd_validate(args) -> int:
     doc = _read(args)
-    violations = validate(doc.space)
+    violations = doc.space._violations  # the verdict the space keeps
     if args.format == "json":
         _emit_json(
             {

@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -657,10 +657,12 @@ def make_uniform_tid(instance: InstanceStore) -> PDBSpace:
 # Wire format
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PdbDocument:
     """A parsed input document: always an instance, plus a distribution when
-    the document carried `worlds` or `marginals`."""
+    the document carried `worlds` or `marginals`.  Read-only, like the
+    instance and space it holds: `load_pdb_file` hands one document to every
+    call that reads the same text."""
 
     instance: InstanceStore
     space: PDBSpace | None
@@ -742,13 +744,40 @@ def parse_pdb_document(doc) -> PdbDocument:
 
 
 def load_pdb_file(path) -> PdbDocument:
+    """Read and parse a PDB JSON document (`parse_pdb_document`).
+
+    The file is read on every call, so a rewritten file is always seen.
+    The parse of the text read last is reused while the text and Python's
+    int digit limit (`sys.get_int_max_str_digits`) stay the same, so a
+    repeated document comes back with its space's validity verdict and its
+    instance's argument index already built.  Errors are not kept: a
+    failing document fails again on every call, and a JSON error names that
+    call's path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
-        # ValueError: bad JSON or UTF-8, or an int past 4300 digits;
-        # RecursionError: arrays or objects nested too deep to decode.
-        except (ValueError, RecursionError) as exc:
+            text = handle.read()
+        except ValueError as exc:  # not UTF-8
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return _parse_document_text(text, sys.get_int_max_str_digits())
+    except _NotJSON as refused:
+        exc = refused.__cause__
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+class _NotJSON(Exception):
+    """`json.loads` refused a document's text (the cause); the loader names
+    the path."""
+
+
+@lru_cache(maxsize=1)
+def _parse_document_text(text: str, _digit_limit: int) -> PdbDocument:
+    try:
+        doc = json.loads(text)
+    # ValueError: bad JSON, or an int past the digit limit;
+    # RecursionError: arrays or objects nested too deep to decode.
+    except (ValueError, RecursionError) as exc:
+        raise _NotJSON from exc
     return parse_pdb_document(doc)
 
 

@@ -364,6 +364,9 @@ def parse_query(
 
 
 def load_query_file(path, schema=None) -> Query:
+    """Read and parse a query file (`parse_query`), checked against the
+    schema when one is given.  The text is parsed on every call; unlike
+    `core.load_pdb_file`, no parse is kept."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()

@@ -303,7 +303,10 @@ def _swing_scorer(
         )
     elif kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
         pairs = list(map(Fraction.as_integer_ratio, masses))
-        weigh = lambda swings: _ratio_sum(compress(pairs, _unpack(swings, worlds.size)))
+        # As above: a monotone table's empty down-swing set adds nothing.
+        weigh = lambda swings: swings and _ratio_sum(
+            compress(pairs, _unpack(swings, worlds.size))
+        )
     else:
         weigh = int.bit_count
 

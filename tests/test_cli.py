@@ -392,14 +392,28 @@ def test_axioms_scores_each_tuple_once_per_request(monkeypatch, capsys, score):
     # The document's space and the two spaces the materialized oracle builds.
     (["oracle-compare", "--tuple", "t3"], 3),
 ])
-def test_each_space_is_validated_once_per_request(monkeypatch, capsys, argv, spaces):
+def test_each_space_is_validated_once_per_request(monkeypatch, capsys, tmp_path, argv, spaces):
     from helpers import count_validations
 
     calls = count_validations(monkeypatch)
-    code, _, err = run(capsys, *argv, "--pdb", FIXTURES / "four_worlds_pdb.json",
-                       "--query", FIXTURES / "path_query.q")
-    assert code == 0 and err == ""
-    assert len(calls) == len({id(pdb) for pdb in calls}) == spaces
+    pdb = tmp_path / "four_worlds.json"
+    pdb.write_bytes((FIXTURES / "four_worlds_pdb.json").read_bytes())
+
+    def validated() -> int:
+        calls.clear()
+        code, _, err = run(capsys, *argv, "--pdb", pdb, "--query", FIXTURES / "path_query.q")
+        assert code == 0 and err == ""
+        assert len(calls) == len({id(space) for space in calls})
+        return len(calls)
+
+    # The first request on a text validates the document's space; an
+    # identical repeat reuses the parse with its verdict, and validates only
+    # the spaces the request builds itself; a rewritten file is parsed and
+    # validated again.
+    assert validated() == spaces
+    assert validated() == spaces - 1
+    pdb.write_bytes(pdb.read_bytes() + b"\n")
+    assert validated() == spaces
 
 
 def test_oracle_compare(capsys):

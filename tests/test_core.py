@@ -350,6 +350,10 @@ def test_a_space_is_validated_once_however_many_readers_read_it(monkeypatch):
     query_probability(space, path_query(space.instance.schema))
     space_to_document(space)
     assert calls == [space]
+    # Loading the same text again hands back the space with its verdict.
+    assert four_worlds_space() is space
+    world_probability(space, {"t1"})
+    assert calls == [space]
 
 
 def test_readers_that_never_checked_refuse_invalid_spaces():

@@ -1,0 +1,123 @@
+"""`load_pdb_file` reuses the parse of identical text: it keeps the last
+document it parsed.  The file is read on every call; errors are never
+kept."""
+
+import dataclasses
+import gc
+import sys
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from causalpdb import InputError, load_pdb_file
+
+from helpers import FIXTURES, clear_document_memo
+
+LONG_NUMBER = "1" * 5000  # past the 4300-digit int conversion limit
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    clear_document_memo()
+    yield
+    clear_document_memo()
+
+
+@pytest.fixture
+def digit_limit():
+    """Restores Python's int digit limit after the test sets it."""
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def _doc_text(marginal="1/2", arg='"a"'):
+    return (
+        '{"schema": {"R": 1}, "tuples": [{"tid": "t1", "predicate": "R", '
+        f'"args": [{arg}], "kind": "endogenous"}}], "marginals": {{"t1": "{marginal}"}}}}'
+    )
+
+
+def test_a_loaded_document_is_read_only():
+    doc = load_pdb_file(FIXTURES / "four_worlds_pdb.json")
+    space = doc.space
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.space = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.instance = None
+    assert load_pdb_file(FIXTURES / "four_worlds_pdb.json").space is space
+
+
+def test_a_rewritten_document_is_parsed_again(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(_doc_text("1/2"))
+    first = load_pdb_file(path)
+    assert load_pdb_file(path) is first
+    path.write_text(_doc_text("1/3"))
+    second = load_pdb_file(path)
+    assert second.space.representation.marginals == {"t1": Fraction(1, 3)}
+    path.write_text(_doc_text("1/2"))
+    third = load_pdb_file(path)
+    assert third is not first  # only the last document is kept
+    assert third.space.representation.marginals == {"t1": Fraction(1, 2)}
+
+
+def test_identical_documents_share_one_parse(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(_doc_text())
+    b.write_text(_doc_text())
+    assert load_pdb_file(a) is load_pdb_file(b)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "invalid JSON (Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1))"),
+    (_doc_text(arg=LONG_NUMBER), "invalid JSON (Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+     "increase the limit)"),
+    ('{"schema": {}, "tuples": [], "extra": 1}', "unknown document fields ['extra']"),
+])
+def test_a_failing_document_fails_on_every_call(tmp_path, text, message):
+    good = load_pdb_file(FIXTURES / "four_worlds_pdb.json")
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(text)
+    for path in paths * 2:
+        with pytest.raises(InputError) as raised:
+            load_pdb_file(path)
+        # A JSON error names the path of the call; a document error names no
+        # path, as `parse_pdb_document` words it.
+        named = f"{path}: {message}" if message.startswith("invalid JSON") else message
+        assert str(raised.value) == named
+    # A failure is not kept, and does not evict the last good document.
+    assert load_pdb_file(FIXTURES / "four_worlds_pdb.json") is good
+
+
+def test_a_document_past_the_digit_limit_is_refused_under_the_limit(tmp_path, digit_limit):
+    path = tmp_path / "doc.json"
+    path.write_text(_doc_text(arg=LONG_NUMBER))
+    digit_limit(0)
+    record = load_pdb_file(path).instance.record("t1")
+    assert record.args == (Fraction(int(LONG_NUMBER)),)
+    digit_limit(4300)
+    with pytest.raises(InputError) as raised:
+        load_pdb_file(path)
+    assert str(raised.value).startswith(f"{path}: invalid JSON (Exceeds the limit (4300 digits)")
+
+
+
+def test_a_loaded_document_is_freed_by_the_next(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(_doc_text("1/2"))
+    b.write_text(_doc_text("1/3"))
+    doc = load_pdb_file(a)
+    refs = [weakref.ref(doc), weakref.ref(doc.space), weakref.ref(doc.instance)]
+    del doc
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    load_pdb_file(b)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+

@@ -656,6 +656,29 @@ def test_weighted_power_matches_oracle():
             )
 
 
+@pytest.mark.parametrize("kind", [ScoreKind.WEIGHTED_POWER, ScoreKind.GCES])
+def test_mass_weighted_scores_skip_an_empty_swing_set(kind, monkeypatch):
+    # A monotone table swings nothing down: the empty down-swing set weighs
+    # 0 without unpacking its 2^N bits.
+    space = make_uniform_tid(paths_instance())
+    q = path_query(space.instance.schema)
+    tids = space.instance.endogenous_order
+    worlds = EndoWorlds(space.instance)
+    table, masses = worlds.packed_table(q), worlds.mass_table(space)
+    unpacked = []
+    original = scores_module._unpack
+    monkeypatch.setattr(scores_module, "_unpack",
+                        lambda swings, size: unpacked.append(swings) or original(swings, size))
+    score = _swing_scorer(worlds, table, kind, masses)
+    got = [score(tid) for tid in tids]
+    swinging = [tid for tid in tids if oracle_banzhaf(space.instance, q, tid) != 0]
+    assert 0 not in unpacked and len(unpacked) == len(swinging) > 0
+    if kind is ScoreKind.WEIGHTED_POWER:
+        assert got == [oracle_weighted_power(space, q, tid) for tid in tids]
+    else:
+        assert got == [oracle_causal_effect(space, q, [tid]) for tid in tids]
+
+
 def test_total_power_examples():
     space = power_p_space()
     q = power_query(space.instance.schema)
