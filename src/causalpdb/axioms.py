@@ -8,11 +8,15 @@ Fraction`` so the same machinery can vet the causal-effect score, Shapley,
 Banzhaf, or anything user-supplied, and returns a verdict carrying every
 counterexample found (exact LHS/RHS values, no sampling: the axioms'
 hypotheses are universally quantified, so subsets are enumerated
-exhaustively up to a cap).
+exhaustively up to a cap).  EFF and G-EFF are one walk over swing sums
+(`_check_sum`), SYM and G-SYM one pair loop over
+`EndoWorlds.pair_swings` (`_check_pairs`); only `scores` reads the packed
+value table's bits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -50,7 +54,6 @@ from .scores import (
     banzhaf,
     causal_effect,
     shapley,
-    total_power,
 )
 
 #: SYM and G-SYM quantify over all subsets excluding a tuple pair; the
@@ -147,16 +150,53 @@ def check_dum(
     return _verdict("DUM", witnesses)
 
 
+def _check_sum(
+    pdb: PDBSpace, q: Query, score_fn: ScoreFunction, cap: int | None, generalized: bool
+) -> AxiomVerdict:
+    """EFF, or G-EFF when ``generalized``: the scores must sum to the
+    Banzhaf values' total (EFF) or to the total of the causal effects'
+    subset forms (G-EFF), both one walk of swing sums."""
+    _require_boolean(q)
+    tids = pdb.instance.endogenous_order
+    kind = ScoreKind.GCES if generalized else ScoreKind.BANZHAF
+    rhs = sum(_swing_scores(pdb, q, kind, tids, cap), Fraction(0))
+    lhs = sum((score_fn(pdb, q, tid) for tid in tids), Fraction(0))
+    witnesses = [] if lhs == rhs else [Witness("sum of scores", lhs, rhs)]
+    return _verdict("G-EFF" if generalized else "EFF", witnesses)
+
+
 def check_eff(
     pdb: PDBSpace, q: Query, score_fn: ScoreFunction, cap: int | None = None
 ) -> AxiomVerdict:
-    """The scores must sum to the total power divided by 2^(N-1)."""
+    """The scores must sum to the total power divided by 2^(N-1), which is
+    the Banzhaf values' total."""
+    return _check_sum(pdb, q, score_fn, cap, generalized=False)
+
+
+def _check_pairs(
+    pdb: PDBSpace, q: Query, score_fn: ScoreFunction, cap: int | None, generalized: bool
+) -> AxiomVerdict:
+    """SYM, or G-SYM when ``generalized``.  A pair of tuples is admitted
+    when the subsets without both that each one swings
+    (`EndoWorlds.pair_swings`) are equal (SYM) or both empty (G-SYM); its
+    scores (SYM) or scores minus weighted power (G-SYM) must coincide."""
     _require_boolean(q)
-    tids = pdb.instance.endogenous_order
-    rhs = total_power(pdb, q, cap) / (1 << max(len(tids) - 1, 0))
-    lhs = sum((score_fn(pdb, q, tid) for tid in tids), Fraction(0))
-    witnesses = [] if lhs == rhs else [Witness("sum of scores", lhs, rhs)]
-    return _verdict("EFF", witnesses)
+    worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
+    table = worlds.packed_table(q)
+    if generalized:
+        weighted = _swing_scorer(worlds, table, ScoreKind.WEIGHTED_POWER, worlds.mass_table(pdb))
+        value = functools.cache(lambda tid: score_fn(pdb, q, tid) - weighted(tid))
+        subject = "pair ({},{}) score minus weighted power"
+    else:
+        value = functools.cache(lambda tid: score_fn(pdb, q, tid))
+        subject = "symmetric pair ({},{})"
+    witnesses = []
+    for a, b in itertools.combinations(worlds.order, 2):
+        swings_a, swings_b = worlds.pair_swings(table, a, b)
+        admitted = not (swings_a or swings_b) if generalized else swings_a == swings_b
+        if admitted and value(a) != value(b):
+            witnesses.append(Witness(subject.format(a, b), value(a), value(b)))
+    return _verdict("G-SYM" if generalized else "SYM", witnesses)
 
 
 def check_sym(
@@ -164,23 +204,7 @@ def check_sym(
 ) -> AxiomVerdict:
     """Tuples that are interchangeable on every subset excluding both must
     score equally."""
-    _require_boolean(q)
-    worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
-    table = worlds.packed_table(q)
-    witnesses = []
-    scores: dict[str, Fraction] = {}
-    for ta, tb in itertools.combinations(worlds.order, 2):
-        ba, bb = 1 << worlds.bit[ta], 1 << worlds.bit[tb]
-        # Some subset without either tuple tells them apart.
-        without = worlds.lacking(ba) & worlds.lacking(bb)
-        if ((table >> ba) ^ (table >> bb)) & without:
-            continue
-        for tid in (ta, tb):
-            if tid not in scores:
-                scores[tid] = score_fn(pdb, q, tid)
-        if scores[ta] != scores[tb]:
-            witnesses.append(Witness(f"symmetric pair ({ta},{tb})", scores[ta], scores[tb]))
-    return _verdict("SYM", witnesses)
+    return _check_pairs(pdb, q, score_fn, cap, generalized=False)
 
 
 def check_lin(
@@ -207,12 +231,7 @@ def check_g_eff(
 ) -> AxiomVerdict:
     """The scores must sum to the swing total weighted, per subset and
     tuple, by the mass at the subset plus the mass with the tuple added."""
-    _require_boolean(q)
-    tids = pdb.instance.endogenous_order
-    rhs = sum(_swing_scores(pdb, q, ScoreKind.GCES, tids, cap), Fraction(0))
-    lhs = sum((score_fn(pdb, q, tid) for tid in tids), Fraction(0))
-    witnesses = [] if lhs == rhs else [Witness("sum of scores", lhs, rhs)]
-    return _verdict("G-EFF", witnesses)
+    return _check_sum(pdb, q, score_fn, cap, generalized=True)
 
 
 def check_g_sym(
@@ -220,36 +239,7 @@ def check_g_sym(
 ) -> AxiomVerdict:
     """For pairs of tuples that swing nothing on subsets excluding both,
     score minus weighted power must coincide."""
-    _require_boolean(q)
-    worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
-    table = worlds.packed_table(q)
-    weighted = _swing_scorer(worlds, table, ScoreKind.WEIGHTED_POWER, worlds.mass_table(pdb))
-    witnesses = []
-    adjusted: dict[str, Fraction] = {}
-    for ta, tb in itertools.combinations(worlds.order, 2):
-        ba, bb = 1 << worlds.bit[ta], 1 << worlds.bit[tb]
-        # Either tuple swings some subset without both.
-        without = worlds.lacking(ba) & worlds.lacking(bb)
-        if (((table >> ba) ^ table) | ((table >> bb) ^ table)) & without:
-            continue
-        for tid in (ta, tb):
-            if tid not in adjusted:
-                adjusted[tid] = score_fn(pdb, q, tid) - weighted(tid)
-        if adjusted[ta] != adjusted[tb]:
-            witnesses.append(
-                Witness(f"pair ({ta},{tb}) score minus weighted power",
-                        adjusted[ta], adjusted[tb])
-            )
-    return _verdict("G-SYM", witnesses)
-
-
-AXIOM_CHECKS = {
-    "DUM": check_dum,
-    "EFF": check_eff,
-    "SYM": check_sym,
-    "G-EFF": check_g_eff,
-    "G-SYM": check_g_sym,
-}
+    return _check_pairs(pdb, q, score_fn, cap, generalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +322,6 @@ class ProductFormulaReport:
     @property
     def agree(self) -> bool:
         return all(rhs == self.lhs for _, rhs in self.per_sigma)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "fresh_effects": {
-                tid: f"{v.numerator}/{v.denominator}"
-                for tid, v in sorted(self.fresh_effects.items())
-            },
-            "per_sigma": [
-                {"sigma": desc, "rhs": f"{rhs.numerator}/{rhs.denominator}"}
-                for desc, rhs in self.per_sigma
-            ],
-            "agree": self.agree,
-        }
 
 
 def verify_product_formula(

@@ -16,6 +16,7 @@ import sys
 
 from .axioms import (
     SCORE_FUNCTIONS,
+    _require_boolean,
     check_dum,
     check_eff,
     check_g_eff,
@@ -288,6 +289,12 @@ def cmd_axioms(args) -> int:
     cap = args.max_endogenous
     doc = _load(args)
     q = _load_query(args, doc)
+    _require_boolean(q)
+    # A bad second query is refused before any check builds a table.
+    q2 = None
+    if args.query2:
+        q2 = load_query_file(args.query2, doc.instance.schema)
+        _require_boolean(q2)
     # Each check asks for scores the others ask for too; one request
     # scores each (query, tuple) once.
     score_fn = functools.cache(SCORE_FUNCTIONS[args.score])
@@ -298,8 +305,7 @@ def cmd_axioms(args) -> int:
         check_g_eff(doc.space, q, score_fn, cap),
         check_g_sym(doc.space, q, score_fn, cap),
     ]
-    if args.query2:
-        q2 = load_query_file(args.query2, doc.instance.schema)
+    if q2 is not None:
         verdicts.append(check_lin(doc.space, q, q2, score_fn, cap))
     _require_printable(*(
         side for v in verdicts for w in v.witnesses for side in (w.lhs, w.rhs)

@@ -318,28 +318,11 @@ class InstanceStore:
                 index.setdefault((rec.predicate, pos, arg), []).append(rec)
         return {key: tuple(recs) for key, recs in index.items()}
 
-    @cached_property
-    def records_by_predicate(self) -> Mapping[str, tuple[TupleRecord, ...]]:
-        """Each predicate's records, in tuple-id order, as a read-only view
-        of an index built once."""
-        return MappingProxyType(self._predicate_index)
-
-    @cached_property
-    def records_by_argument(self) -> Mapping[tuple, tuple[TupleRecord, ...]]:
-        """The records holding a constant at an argument position, keyed
-        by (predicate, position, constant), in tuple-id order, as a
-        read-only view of an index built once.  Keys compare as constants
-        do, so ``"1"`` and ``Fraction(1)`` differ.  The homomorphism walk
-        (`queries._homomorphisms`) reads the index itself, once per walk:
-        a view's lookup costs a method lookup more per atom."""
-        return MappingProxyType(self._argument_index)
-
-    def __setattr__(self, name: str, value) -> None:
-        # The views are cached in the instance's __dict__, where a plain
-        # assignment would replace them.
-        if name in ("records_by_predicate", "records_by_argument"):
-            raise AttributeError(f"InstanceStore.{name} is read-only")
-        super().__setattr__(name, value)
+    #: Read-only views of the indexes, each built once and kept in
+    #: tuple-id order: records by predicate, and by (predicate, position,
+    #: constant), where ``"1"`` and ``Fraction(1)`` are different keys.
+    records_by_predicate = property(lambda self: MappingProxyType(self._predicate_index))
+    records_by_argument = property(lambda self: MappingProxyType(self._argument_index))
 
     def __len__(self) -> int:
         return len(self._by_tid)

@@ -7,7 +7,9 @@ tuple-independent space `Intervention.force` sets the targets' marginals to
 1 or 0 and leaves every other marginal untouched, so the result is again
 tuple-independent.  A single application may mix in- and out-targets (two
 disjoint sets pushed jointly); the plain do(T in) / do(T out) constructors
-cover the common case.
+cover the common case.  `intervene` returns a plain `PDBSpace` over the
+base instance; `intervened_query_value` sums the base worlds by their
+pushed images instead of building it.
 """
 
 from __future__ import annotations
@@ -83,25 +85,16 @@ def _as_set(targets) -> frozenset[str]:
     return frozenset(targets)
 
 
-class IntervenedSpace(PDBSpace):
-    """The push-forward of a base space under an intervention; usable
-    anywhere a plain space is."""
-
-    def __init__(self, base: PDBSpace, intervention: Intervention, representation):
-        super().__init__(base.instance, representation)
-        self.base = base
-        self.intervention = intervention
-
-
-def intervene(pdb: PDBSpace, iv: Intervention) -> IntervenedSpace:
-    """Apply an intervention, keeping the representation kind of the base."""
+def intervene(pdb: PDBSpace, iv: Intervention) -> PDBSpace:
+    """Apply an intervention: a space over the same instance, of the
+    representation kind of the base."""
     pdb.instance.require_endogenous(iv.targets)
     rep = pdb.representation
     if isinstance(rep, ExplicitWorlds):  # colliding images merge
         pushed = ExplicitWorlds((iv.push(w), mass) for w, mass in rep.masses.items())
-        return IntervenedSpace(pdb, iv, pushed)
+        return PDBSpace(pdb.instance, pushed)
     assert isinstance(rep, TupleIndependent)
-    return IntervenedSpace(pdb, iv, TupleIndependent(iv.force(rep.marginals)))
+    return PDBSpace(pdb.instance, TupleIndependent(iv.force(rep.marginals)))
 
 
 def intervened_query_value(

@@ -891,7 +891,3 @@ def is_monotone_check(q: Query, instance: InstanceStore, exhaustive_cap: int = 1
                 if evaluate(q, instance, world | {tid}) < base:
                     return False
     return True
-
-
-def query_text(q: Query) -> str:
-    return str(q)

@@ -75,12 +75,7 @@ from .queries import (
     _world_sum,
     evaluate,
     is_boolean,
-    query_text,
 )
-
-#: Cap on endogenous tuples for subset-enumeration scores (shared with the
-#: world-enumeration cap).
-DEFAULT_SUBSET_CAP = DEFAULT_WORLD_CAP
 
 
 class ScoreKind(str, Enum):
@@ -103,7 +98,7 @@ class EndoWorlds:
     over those masks."""
 
     def __init__(self, instance: InstanceStore, cap: int | None = None):
-        limit = DEFAULT_SUBSET_CAP if cap is None else cap
+        limit = DEFAULT_WORLD_CAP if cap is None else cap
         self.instance = instance
         self.order = instance.endogenous_order
         if len(self.order) > limit:
@@ -193,6 +188,14 @@ class EndoWorlds:
                 span <<= 1
             self._lacking[bit] = mask
         return mask
+
+    def pair_swings(self, table: int, a: str, b: str) -> tuple[int, int]:
+        """The masks without tuples ``a`` and ``b`` at which adding ``a``
+        changes a packed Boolean table (`packed_table`), and those at which
+        adding ``b`` does, each packed into one integer."""
+        bit_a, bit_b = 1 << self.bit[a], 1 << self.bit[b]
+        without = self.lacking(bit_a) & self.lacking(bit_b)
+        return ((table >> bit_a) ^ table) & without, ((table >> bit_b) ^ table) & without
 
     def mass_table(self, pdb: PDBSpace) -> list[Fraction]:
         """p(W union D_ex) for every endogenous subset W, as reduced
@@ -554,12 +557,6 @@ class ScoreReport:
     entries: tuple[ScoreEntry, ...]
     ranking: tuple[str, ...]
 
-    def entry(self, tid: str) -> ScoreEntry:
-        for e in self.entries:
-            if e.tid == tid:
-                return e
-        raise InputError(f"no score entry for tuple {tid!r}")
-
     def values(self) -> dict[str, Fraction]:
         return {e.tid: e.value for e in self.entries}
 
@@ -653,7 +650,7 @@ def score_all(
     report_values = {e.tid: e.value for e in entries}
     return ScoreReport(
         kind=kind,
-        query=query_text(q),
+        query=str(q),
         n_endogenous=len(tids),
         entries=tuple(entries),
         ranking=_rank(report_values),

@@ -351,6 +351,34 @@ def test_axioms_command(capsys):
     assert by_axiom["EFF"]["witnesses"][0]["lhs"] == "11/12"
 
 
+@pytest.mark.parametrize("second, message", [
+    ("missing.q", "error: [Errno 2] No such file or directory: '{path}'\n"),
+    ("bad.q", "error: line 1, end of rule: expected ')'\n"),
+    ("sum.q", "error: axiom checks take monotone Boolean queries\n"),
+])
+def test_axioms_refuses_a_bad_second_query_before_any_check(
+    tmp_path, monkeypatch, capsys, second, message
+):
+    from causalpdb.scores import EndoWorlds
+
+    tables = []
+    original = EndoWorlds.value_table
+    monkeypatch.setattr(
+        EndoWorlds, "value_table", lambda self, q: tables.append(q) or original(self, q)
+    )
+    (tmp_path / "bad.q").write_text("Q() :- R(X\n")
+    (tmp_path / "sum.q").write_text((FIXTURES / "sum_query.q").read_text())
+    path = tmp_path / second
+    code, out, err = run(
+        capsys, "axioms",
+        "--pdb", FIXTURES / "power_pprime.json",
+        "--query", FIXTURES / "power_query.q",
+        "--query2", path,
+    )
+    assert (code, out, err) == (2, "", message.format(path=path))
+    assert tables == []
+
+
 def test_axioms_with_banzhaf_score(capsys):
     code, out, _ = run(
         capsys, "axioms", "--format", "json", "--score", "banzhaf",

@@ -1,8 +1,8 @@
 """Golden outputs of the scoring commands: exit code, stdout and stderr of
 `prob --backend auto|brute|lifted`, `score --kind
 gces|ces-tid|ces-ui|shapley|banzhaf|power|weighted-power`,
-`oracle-compare --tuple <first endogenous tid>` and `axioms --score gces
---query2 <the same query file>`, in both formats, for every fixture
+`oracle-compare --tuple <first endogenous tid>` and `axioms --score
+gces|banzhaf|shapley --query2 <the same query file>`, in both formats, for every fixture
 document and query file, plus `intervene --in <first endogenous tid>` in
 both formats for every fixture document.  The test
 replays every recorded invocation in-process through `cli.main` and
@@ -54,7 +54,10 @@ def invocations() -> list[list[str]]:
             ]
             if tid is not None:
                 commands.append(["oracle-compare", "--tuple", tid])
-            commands.append(["axioms", "--score", "gces", "--query2", f"fixtures/{query.name}"])
+            commands += [
+                ["axioms", "--score", score, "--query2", f"fixtures/{query.name}"]
+                for score in ("gces", "banzhaf", "shapley")
+            ]
             for command in commands:
                 for fmt in ("table", "json"):
                     out.append(command + files + ["--format", fmt])

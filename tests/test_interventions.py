@@ -7,8 +7,8 @@ import pytest
 
 from causalpdb import (
     InputError,
-    IntervenedSpace,
     Intervention,
+    PDBSpace,
     TupleIndependent,
     enumerate_worlds,
     evaluate,
@@ -68,7 +68,7 @@ def test_unknown_target_rejected():
 
 def test_force_in_masses():
     plus = intervene(four_worlds_space(), Intervention.do_in("t3"))
-    assert isinstance(plus, IntervenedSpace)
+    assert type(plus) is PDBSpace
     assert world_probability(plus, {"t1", "t3", "t4", "t6"}) == Fraction(1, 5)
     assert world_probability(plus, {"t1", "t2", "t3"}) == Fraction(1, 4)
     assert world_probability(plus, {"t2", "t3", "t6"}) == Fraction(11, 20)

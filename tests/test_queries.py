@@ -781,7 +781,7 @@ def test_argument_index_keeps_numbers_and_strings_apart():
         TupleRecord("m", "N", ("1", "a"), "endogenous"),
         TupleRecord("k", "E", ("a", "a"), "exogenous"),
     ])
-    assert inst.records_by_argument is inst.records_by_argument  # built once
+    assert inst._argument_index is inst._argument_index  # built once
     by_tid = lambda key: [r.tid for r in inst.records_by_argument[key]]
     assert by_tid(("E", 0, "1")) == ["s"]
     assert by_tid(("E", 0, Fraction(1))) == ["n"]

@@ -51,6 +51,8 @@ from causalpdb.scores import (
 from helpers import (
     CORPUS_SCHEMA,
     all_worlds_with_mass,
+    endo_subsets,
+    oracle_delta,
     oracle_banzhaf,
     oracle_causal_effect,
     oracle_power_of_tuple,
@@ -506,7 +508,8 @@ def test_independent_routes_validate_once_and_build_no_intervened_space(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("an intervened space was built")
 
-    monkeypatch.setattr(interventions.IntervenedSpace, "__init__", refuse)
+    for module in (interventions, scores_module):  # every module that binds the name
+        monkeypatch.setattr(module, "intervene", refuse)
     calls = count_validations(monkeypatch)
     space = two_component_space()
     q = two_component_query(space.instance.schema)
@@ -1048,6 +1051,28 @@ def test_lacking_holds_exactly_the_masks_without_the_bit(n):
             if not mask >> i & 1:
                 expected |= 1 << mask
         assert worlds.lacking(1 << i) == expected, i
+
+
+def test_pair_swings_match_the_subset_oracle():
+    rng = random.Random(23)
+    shapes = set()
+    for _ in range(60):
+        inst = random_instance(rng, max_endogenous=6, min_endogenous=2)
+        q = random_boolean_query(rng)
+        worlds = EndoWorlds(inst)
+        table = worlds.packed_table(q)
+        for a, b in itertools.combinations(inst.endogenous_order, 2):
+            expected = []
+            for tid in (a, b):
+                swung = 0
+                for subset in endo_subsets(inst, excluding=[a, b]):
+                    if oracle_delta(inst, q, subset, tid):
+                        swung |= 1 << worlds.mask_of(subset)
+                expected.append(swung)
+            got = worlds.pair_swings(table, a, b)
+            assert got == tuple(expected), (q, inst.records(), a, b)
+            shapes.add((isinstance(q, UBCQ), got[0] == got[1], bool(got[0] or got[1])))
+    assert len(shapes) == 6  # unions or not; equal or not; some swing or none
 
 
 def test_boolean_subset_scores_at_twenty_tuples():
