@@ -77,7 +77,53 @@ def _require_printable(*values) -> None:
 
 
 def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    parts: list[str] = []
+    _write_json(payload, parts, "\n")
+    print("".join(parts))
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, parts: list[str], newline: str) -> None:
+    """Append the text of ``json.dumps(value, indent=2, sort_keys=True)``
+    to ``parts``, for string keys; ``newline`` is a line break followed
+    by the current indent.  Scalars other than strings, ints, booleans
+    and None (floats, or a type json refuses) go to `json.dumps`."""
+    if isinstance(value, str):
+        parts.append(_json_string(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            parts += (lead, _json_string(key), ": ")
+            _write_json(value[key], parts, inner)
+            lead = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _write_json(item, parts, inner)
+            lead = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        parts.append(json.dumps(value))
 
 
 def _resolve_cap(args) -> int | None:
@@ -356,10 +402,15 @@ def cmd_oracle_compare(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     `main` call in the process; callers must not mutate it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="causalpdb",
         description="Exact causal-attribution scores over probabilistic databases",
@@ -410,11 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", action="append", help="target tuple id (repeatable)")
     p.set_defaults(func=cmd_oracle_compare)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_argv(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read at one level when it can:
+    a leading command's arguments go straight to that command's parser,
+    the one the top-level parser hands them to.  When that parser leaves
+    an argument over, or ``argv`` does not start with a command, the
+    top-level parser reads ``argv`` itself, so every message, usage line
+    and exit code is its own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parsers()[1].get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         _check_threads(args)
         args.max_endogenous = _resolve_cap(args)

@@ -291,6 +291,9 @@ class InstanceStore:
         self._endogenous = frozenset(t for t, r in by_tid.items() if r.kind == ENDOGENOUS)
         self._exogenous = self._tids - self._endogenous
         self._endogenous_order = tuple(sorted(self._endogenous))
+        # (query, packed lineage table) of the last Boolean query
+        # `scores.EndoWorlds` built a lineage table for over this instance.
+        self._lineage: tuple | None = None
 
     schema = property(lambda self: self._schema)
     tids = property(lambda self: self._tids)

@@ -41,9 +41,10 @@ literals.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
@@ -365,14 +366,31 @@ def parse_query(
 
 def load_query_file(path, schema=None) -> Query:
     """Read and parse a query file (`parse_query`), checked against the
-    schema when one is given.  The text is parsed on every call; unlike
-    `core.load_pdb_file`, no parse is kept."""
+    schema when one is given.
+
+    The file is read on every call, so a rewritten file is always seen.
+    As `core.load_pdb_file` does for documents, the parses of the last 8
+    texts are reused, each keyed by the text, the schema's items and
+    Python's int digit limit (`sys.get_int_max_str_digits`), so the same
+    text under another schema is checked again.  A schema that cannot be
+    hashed (say, a relation with list tags) is parsed on every call.
+    Errors are not kept: a failing text fails again on every call."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
-    return parse_query(text, schema)
+    items = None if schema is None else tuple(schema.items())
+    try:
+        hash(items)
+    except TypeError:  # no key to keep the parse by
+        return parse_query(text, schema)
+    return _parse_query_text(text, items, sys.get_int_max_str_digits())
+
+
+@lru_cache(maxsize=8)
+def _parse_query_text(text: str, schema_items: tuple | None, _digit_limit: int) -> Query:
+    return parse_query(text, None if schema_items is None else dict(schema_items))
 
 
 # ---------------------------------------------------------------------------

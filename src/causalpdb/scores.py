@@ -162,16 +162,24 @@ class EndoWorlds:
 
     def _lineage_table(self, q: BCQ | UBCQ) -> int | None:
         """The packed value table (bit W set iff W satisfies the query),
-        or None past one image per mask."""
+        or None past one image per mask.  The instance keeps the answer
+        for the last query asked, so scoring that query again on the same
+        instance skips the homomorphism walk."""
+        kept = self.instance._lineage
+        if kept is not None and kept[0] == q:
+            return kept[1]
         table = 0
         images = _homomorphism_images(self.instance, q)
         for count, image in enumerate(images, start=1):
             if count > self.size:
-                return None
+                table = None
+                break
             table |= 1 << self.mask_of(image & self.instance.endogenous)
-        for i in range(len(self.order)):  # close upward, one tuple at a time
-            bit = 1 << i
-            table |= (table & self.lacking(bit)) << bit
+        else:
+            for i in range(len(self.order)):  # close upward, one tuple at a time
+                bit = 1 << i
+                table |= (table & self.lacking(bit)) << bit
+        self.instance._lineage = (q, table)
         return table
 
     def lacking(self, bit: int) -> int:

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
+import contextlib
+import enum
+import io
 import json
 import os
 import subprocess
@@ -8,7 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from causalpdb import cli
 from causalpdb.cli import build_parser, main
 
 from helpers import FIXTURES, deep_inputs
@@ -875,3 +881,103 @@ def test_help_is_identical_on_repeated_calls(capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert outputs[0].out.startswith("usage: causalpdb")
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer and the one-level argument parse
+# ---------------------------------------------------------------------------
+
+class _Kind(str, enum.Enum):
+    SHAPLEY = "shapley"
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "é ü ß", "雪", "\U0001f600", _Kind.SHAPLEY])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"b": [], "a": {}, "c": [{"z": None, "y": True}, False, -3, " "]})
+@example(value={"kind": _Kind.SHAPLEY, "scores": [{"value": "1/2", "decimal": "0.5"}]})
+def test_json_writer_matches_json_dumps(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(value)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_FOUR = str(FIXTURES / "four_worlds_pdb.json")
+_PATH_Q = str(FIXTURES / "path_query.q")
+_ARGV_CORPUS = [
+    *([command, *map(str, args)] for command, args in COMMANDS.items()),
+    ["score", "-h"],
+    ["axioms", "--help"],
+    ["validate", "--pdb", _FOUR, "--bogus"],
+    ["validate", "--pdb", _FOUR, "extra"],
+    ["prob", f"--pdb={_FOUR}", f"--query={_PATH_Q}", "--format=json"],
+    ["validate", "--pd", _FOUR],
+    ["axioms", "--pdb", _FOUR, "--quer", _PATH_Q],
+    ["prob", "--pdb", _FOUR, "--query", _PATH_Q, "--backend", "nope"],
+    ["prob", "--pdb", _FOUR, "--query"],
+    ["score", "--pdb", _FOUR, "--query", _PATH_Q],
+    ["validate", "--pdb", _FOUR, "--", "extra"],
+    ["validate", "--", "--pdb", _FOUR],
+    ["validate", "--pdb", _FOUR, "--threads", "0"],
+    ["validate", "--pdb", _FOUR, "--max-endogenous", "x"],
+    [],
+    ["-h"],
+    ["--pdb", _FOUR, "validate"],
+    ["frobnicate", "--pdb", _FOUR],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", _ARGV_CORPUS,
+    ids=lambda argv: " ".join(argv).replace(f"{FIXTURES}{os.sep}", "") or "(none)",
+)
+def test_one_level_parse_answers_as_the_full_parser(monkeypatch, capsys, argv):
+    # `main` parses a leading command's arguments with that command's own
+    # parser; the top-level parser reads the same argv to the same effect.
+    one_level = _outcome(capsys, list(argv))
+    try:
+        assert vars(cli._parse_argv(argv)) == vars(build_parser().parse_args(argv))
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse_argv", lambda argv: build_parser().parse_args(argv))
+    assert _outcome(capsys, list(argv)) == one_level
+
+
+def test_axioms_walks_the_homomorphisms_once_per_request(monkeypatch, capsys):
+    from causalpdb import scores
+
+    from helpers import clear_document_memo
+
+    clear_document_memo()
+    walks = []
+    original = scores._homomorphism_images
+    monkeypatch.setattr(scores, "_homomorphism_images",
+                        lambda instance, q: walks.append(q) or original(instance, q))
+    for score in ("banzhaf", "shapley", "banzhaf"):
+        code, _, err = run(capsys, "axioms", "--score", score, "--pdb", FIXTURES / "four_worlds_pdb.json",
+                           "--query", FIXTURES / "path_query.q")
+        assert code == 0 and err == ""
+        # The first request walks once for its eleven value tables; the
+        # kept document brings its lineage to the later requests.
+        assert len(walks) == 1

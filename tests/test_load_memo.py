@@ -1,6 +1,7 @@
 """`load_pdb_file` reuses the parse of identical text: it keeps the last
-document it parsed.  The file is read on every call; errors are never
-kept."""
+document it parsed.  `load_query_file` keeps the last 8 query parses, each
+keyed by the text, the schema and the int digit limit.  Both read the file
+on every call; errors are never kept."""
 
 import dataclasses
 import gc
@@ -10,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from causalpdb import InputError, load_pdb_file
+from causalpdb import InputError, QuerySyntaxError, RelationSchema, load_pdb_file, load_query_file
+from causalpdb import queries
 
 from helpers import FIXTURES, clear_document_memo
 
@@ -20,8 +22,10 @@ LONG_NUMBER = "1" * 5000  # past the 4300-digit int conversion limit
 @pytest.fixture(autouse=True)
 def fresh_memo():
     clear_document_memo()
+    queries._parse_query_text.cache_clear()
     yield
     clear_document_memo()
+    queries._parse_query_text.cache_clear()
 
 
 @pytest.fixture
@@ -121,3 +125,82 @@ def test_a_loaded_document_is_freed_by_the_next(tmp_path):
     assert [ref() for ref in refs] == [None, None, None]
 
 
+
+
+EDGES = {"E": RelationSchema("E", 2)}
+
+
+def test_identical_query_texts_share_one_parse(tmp_path):
+    a, b = tmp_path / "a.q", tmp_path / "b.q"
+    a.write_text("Q() :- E(X,Y)")
+    b.write_text("Q() :- E(X,Y)")
+    assert load_query_file(a, EDGES) is load_query_file(b, dict(EDGES))
+    # Without a schema the text is another key, with an equal parse.
+    assert load_query_file(a) == load_query_file(a, EDGES)
+
+
+def test_a_rewritten_query_is_parsed_again(tmp_path):
+    path = tmp_path / "q.q"
+    path.write_text("Q() :- E(a,X)")
+    assert str(load_query_file(path, EDGES)) == "E(a,X)"
+    path.write_text("Q() :- E(b,X)")
+    assert str(load_query_file(path, EDGES)) == "E(b,X)"
+
+
+def test_a_query_is_checked_again_under_another_schema(tmp_path):
+    path = tmp_path / "q.q"
+    path.write_text("Q() :- E(X,Y)")
+    assert str(load_query_file(path, EDGES)) == "E(X,Y)"
+    with pytest.raises(QuerySyntaxError, match="^unknown relation 'E'$"):
+        load_query_file(path, {"R": RelationSchema("R", 1)})
+    with pytest.raises(QuerySyntaxError, match="^relation 'E' expects 3 arguments, got 2"):
+        load_query_file(path, {"E": RelationSchema("E", 3)})
+    assert str(load_query_file(path, EDGES)) == "E(X,Y)"
+
+
+def test_a_query_past_the_digit_limit_is_read_again_under_each_limit(tmp_path, digit_limit):
+    path = tmp_path / "q.q"
+    path.write_text(f"Q() :- R({LONG_NUMBER})")
+    digit_limit(0)
+    (atom,) = load_query_file(path).atoms
+    assert atom.terms == (Fraction(int(LONG_NUMBER)),)
+    digit_limit(4300)
+    with pytest.raises(QuerySyntaxError, match="cannot read number: Exceeds the limit"):
+        load_query_file(path)
+    digit_limit(0)
+    assert load_query_file(path).atoms == (atom,)
+
+
+def test_a_failing_query_fails_on_every_call(tmp_path):
+    path = tmp_path / "q.q"
+    path.write_text("Q() :- E(X")
+    for _ in range(3):
+        with pytest.raises(QuerySyntaxError) as raised:
+            load_query_file(path, EDGES)
+        assert str(raised.value) == "line 1, end of rule: expected ')'"
+    assert queries._parse_query_text.cache_info().currsize == 0
+
+
+def test_a_schema_that_cannot_be_hashed_is_parsed_on_every_call(tmp_path):
+    schema = {"E": RelationSchema("E", 2, ["symbolic", "numeric"])}  # list tags
+    path = tmp_path / "q.q"
+    path.write_text("Q() :- E(X,Y)")
+    first = load_query_file(path, schema)
+    second = load_query_file(path, schema)
+    assert first == second and first is not second
+    path.write_text("Q() :- E(X)")
+    with pytest.raises(QuerySyntaxError, match="expects 2 arguments, got 1"):
+        load_query_file(path, schema)
+
+
+def test_at_most_eight_query_parses_are_kept(tmp_path):
+    path = tmp_path / "q.q"
+    parsed = []
+    for i in range(10):
+        path.write_text(f"Q() :- E(c{i},X)")
+        parsed.append(load_query_file(path, EDGES))
+    assert queries._parse_query_text.cache_info().currsize == 8
+    path.write_text("Q() :- E(c9,X)")
+    assert load_query_file(path, EDGES) is parsed[9]
+    path.write_text("Q() :- E(c0,X)")
+    assert load_query_file(path, EDGES) is not parsed[0]

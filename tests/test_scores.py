@@ -1215,3 +1215,49 @@ def test_monotone_scores_are_nonnegative():
                 assert entry.value >= 0
         for entry in score_all(space, q, ScoreKind.GCES).entries:
             assert entry.value >= 0
+
+
+# ---------------------------------------------------------------------------
+# The lineage table an instance keeps
+# ---------------------------------------------------------------------------
+
+def _counting_walks(monkeypatch) -> list:
+    walks = []
+    original = scores_module._homomorphism_images
+    monkeypatch.setattr(scores_module, "_homomorphism_images",
+                        lambda instance, q: walks.append(q) or original(instance, q))
+    return walks
+
+
+def test_a_repeated_query_reuses_the_instance_lineage(monkeypatch):
+    instance = random_instance(random.Random(5), max_endogenous=6, min_endogenous=6)
+    q = parse_query("Q() :- R(X,Y) ; Q() :- T(X)", CORPUS_SCHEMA)
+    walks = _counting_walks(monkeypatch)
+    for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE):
+        score_all(instance, q, kind)
+    assert walks == [q]
+    # An equal query parsed again is the same query.
+    score_all(instance, parse_query("Q() :- R(X,Y) ; Q() :- T(X)", CORPUS_SCHEMA),
+              ScoreKind.BANZHAF)
+    assert walks == [q]
+
+
+def test_lineage_reuse_alternating_two_queries_on_one_instance():
+    rng = random.Random(24)
+    for _ in range(25):
+        inst = random_instance(rng, max_endogenous=5)
+        queries = [random_boolean_query(rng), random_boolean_query(rng)]
+        for q in queries * 2:
+            for tid in inst.endogenous_order:
+                assert banzhaf(inst, q, tid) == oracle_banzhaf(inst, q, tid)
+                assert shapley(inst, q, tid) == oracle_shapley(inst, q, tid)
+
+
+def test_lineage_reuse_one_query_on_two_instances():
+    rng = random.Random(25)
+    for _ in range(25):
+        instances = [random_instance(rng, max_endogenous=5) for _ in range(2)]
+        q = random_boolean_query(rng)
+        for inst in instances * 2:
+            for tid in inst.endogenous_order:
+                assert power_of_tuple(inst, q, tid) == oracle_power_of_tuple(inst, q, tid)
