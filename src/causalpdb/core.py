@@ -78,29 +78,37 @@ class Probability(Fraction):
         the integers and built as one ``Fraction``.  Every other string,
         and every plain one out of range or past Python's digit limit,
         takes the general route (`_parse_fraction`), so the accepted
-        strings, the values and the messages are those of that route."""
+        strings, the values and the messages are those of that route.
+        A document repeats a few marginals many times, so the values of
+        the last texts parsed, under the digit limit in force, are kept
+        (`_probability_text`); an error is raised again on every call."""
         if not isinstance(text, str):
             raise InputError(
                 f"probability must be a decimal or num/den string, got {text!r}"
             )
-        plain = _PLAIN_PROBABILITY.fullmatch(text)
-        if plain is not None:
-            num, den, whole, decimals = plain.groups()
-            try:
-                if den is None:
-                    num, den = int(whole + decimals), 10 ** len(decimals)
-                else:
-                    num, den = int(num), int(den)
-            except ValueError:  # no digits, or past the digit limit
-                pass
-            else:
-                if num <= den and den:
-                    return Fraction.__new__(cls, num, den)
+        return _probability_text(cls, text, sys.get_int_max_str_digits())
+
+
+@lru_cache(maxsize=64)
+def _probability_text(cls: type[Probability], text: str, _digit_limit: int) -> Probability:
+    plain = _PLAIN_PROBABILITY.fullmatch(text)
+    if plain is not None:
+        num, den, whole, decimals = plain.groups()
         try:
-            value = _parse_fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
-        return cls(value)
+            if den is None:
+                num, den = int(whole + decimals), 10 ** len(decimals)
+            else:
+                num, den = int(num), int(den)
+        except ValueError:  # no digits, or past the digit limit
+            pass
+        else:
+            if num <= den and den:
+                return Fraction.__new__(cls, num, den)
+    try:
+        value = _parse_fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
+    return cls(value)
 
 
 _PLAIN_PROBABILITY = re.compile(r"([0-9]+)/([0-9]+)|([0-9]*)\.?([0-9]*)")

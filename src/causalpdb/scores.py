@@ -23,9 +23,11 @@ times a weight that depends only on the score.  Shapley weighs by |S|
 weighted power by the mass p(S), and the causal effect's subset form by
 p(S) + p(S + t).  A Boolean table is packed into one integer, bit S set iff
 Q holds on S, and `_swing_scorer` finds the subsets a tuple swings with a
-few big-integer operations: Banzhaf and power count them by popcount,
-Shapley counts them per subset size, and the mass-weighted kinds sum the
-masses at their bits.  Aggregate tables hold numbers, not bits, so they
+few big-integer operations: Banzhaf and power need only one popcount per
+tuple, Shapley counts the swings per subset size, and the mass-weighted
+kinds sum the masses at their bits.  The masks these operations read
+depend on the number of tuples alone (`_Lattice`) and are built once per
+table size.  Aggregate tables hold numbers, not bits, so they
 are summed mask by mask (`swing_sum`).  Mass-weighted and aggregate sums
 add integer (numerator, denominator) pairs over a running common
 denominator (`core._ratio_sum`), one `Fraction` per sum.
@@ -43,6 +45,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Callable, Iterable, Sequence, Union
 
@@ -92,6 +95,65 @@ def _instance_of(source: Union[PDBSpace, InstanceStore]) -> InstanceStore:
     return source.instance if isinstance(source, PDBSpace) else source
 
 
+class _Lattice:
+    """The masks of the subset lattice over n tuples, each packed into one
+    integer of 2^n bits: for each tuple bit, the subsets without it, and
+    for Shapley, the subsets of each size with their integer weights.  They
+    depend on n alone, so every `EndoWorlds` of one size shares one lattice
+    (`_lattice`); each mask is built when first read."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.size = 1 << n
+        self._lacking: dict[int, int] = {}
+
+    def lacking(self, bit: int) -> int:
+        """The masks without ``bit`` (a power of two, not an index), as one
+        integer: runs of ``bit`` set bits alternating with runs of ``bit``
+        clear ones, built by copying the pattern onto itself at doubling
+        distances: one shift and one OR per doubling."""
+        mask = self._lacking.get(bit)
+        if mask is None:
+            mask = (1 << bit) - 1
+            span = bit << 1
+            while span < self.size:
+                mask |= mask << span
+                span <<= 1
+            self._lacking[bit] = mask
+        return mask
+
+    @cached_property
+    def levels(self) -> list[int]:
+        """``levels[k]`` packs the masks of k bits among n."""
+        levels = [1]
+        for i in range(self.n):
+            # k bits among i + 1: k among i without bit i, or k - 1 with it.
+            span = 1 << i
+            levels = [a | b << span for a, b in zip(levels + [0], [0] + levels)]
+        return levels
+
+    @cached_property
+    def shares(self) -> list[int]:
+        """Shapley's weight |S|! (n-|S|-1)! / n! of a subset of k = |S|
+        tuples, as the integer numerator over the common denominator n!."""
+        n = self.n
+        return [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
+
+
+#: Lattices of at most 2^16 subsets are kept, all sizes together under
+#: 1 MB; a larger one is built for each table and dropped with it.
+_KEPT_TUPLES = 16
+
+
+@lru_cache(maxsize=_KEPT_TUPLES + 1)
+def _kept_lattice(n: int) -> _Lattice:
+    return _Lattice(n)
+
+
+def _lattice(n: int) -> _Lattice:
+    return _kept_lattice(n) if n <= _KEPT_TUPLES else _Lattice(n)
+
+
 class EndoWorlds:
     """Subsets of the endogenous tuples as bitmasks (bit order = sorted
     tids), with the query's value table and the distribution's mass table
@@ -107,9 +169,9 @@ class EndoWorlds:
                 f"enumeration cap of {limit}"
             )
         self.bit = {tid: i for i, tid in enumerate(self.order)}
-        self.size = 1 << len(self.order)
+        self.lattice = _lattice(len(self.order))
+        self.size = self.lattice.size
         self._packed: int | None = None  # the last lineage table, packed
-        self._lacking: dict[int, int] = {}
 
     def mask_of(self, tids: Iterable[str]) -> int:
         mask = 0
@@ -126,37 +188,40 @@ class EndoWorlds:
     def world(self, mask: int) -> frozenset[str]:
         return self.endo_tids(mask) | self.instance.exogenous
 
-    def value_table(self, q: Query) -> list:
-        """Q[W union D_ex] for every endogenous subset W, as a list.
+    def value_table(self, q: Query) -> bytes | list[Fraction]:
+        """Q[W union D_ex] for every endogenous subset W: for a Boolean
+        query 2^N bytes, each 0 or 1, and for an aggregate a list of
+        Fractions.
 
         A BCQ or union is the DNF of its homomorphism images: W satisfies
         it iff W holds the endogenous part of some image, so the table is
         the upward closure of those parts' masks, built packed into one
         integer, which is kept for the readers of the packed form
-        (`packed_table`).  With more images than
-        masks, and for the other forms, every subset is evaluated instead;
-        Boolean forms are monotone, so a mask whose strict submask already
-        holds needs no homomorphism search."""
+        (`packed_table`); the bytes are that integer unpacked.  With more
+        images than masks, and for the other forms, every subset is
+        evaluated instead; Boolean forms are monotone, so a mask whose
+        strict submask already holds needs no homomorphism search."""
         self._packed = None
         if isinstance(q, (BCQ, UBCQ)):
             self._packed = self._lineage_table(q)
             if self._packed is not None:
-                return list(_unpack(self._packed, self.size))
-        table = [None] * self.size
-        monotone = is_boolean(q)
+                return _unpack(self._packed, self.size)
+        if not is_boolean(q):
+            return [evaluate(q, self.instance, self.world(mask)) for mask in range(self.size)]
+        table = bytearray(self.size)
         for mask in range(self.size):
-            if monotone and mask:
+            if mask:
                 low = mask & -mask
-                if table[mask ^ low] == 1:
+                if table[mask ^ low]:
                     table[mask] = 1
                     continue
             table[mask] = evaluate(q, self.instance, self.world(mask))
-        return table
+        return bytes(table)
 
     def packed_table(self, q: Query) -> int:
         """A Boolean query's value table packed into one integer, bit W
         set iff Q holds on W: the lineage's integer as `value_table` built
-        it, or the evaluated list packed (`_pack`)."""
+        it, or the evaluated bytes packed (`_pack`)."""
         values = self.value_table(q)
         return _pack(values) if self._packed is None else self._packed
 
@@ -176,33 +241,20 @@ class EndoWorlds:
                 break
             table |= 1 << self.mask_of(image & self.instance.endogenous)
         else:
+            lacking = self.lattice.lacking
             for i in range(len(self.order)):  # close upward, one tuple at a time
                 bit = 1 << i
-                table |= (table & self.lacking(bit)) << bit
+                table |= (table & lacking(bit)) << bit
         self.instance._lineage = (q, table)
         return table
-
-    def lacking(self, bit: int) -> int:
-        """The masks without ``bit``, as one integer: runs of ``bit`` set
-        bits alternating with runs of ``bit`` clear ones, built by copying
-        the pattern onto itself at doubling distances: one shift and one OR
-        per doubling.  Each bit's integer is built once per `EndoWorlds`."""
-        mask = self._lacking.get(bit)
-        if mask is None:
-            mask = (1 << bit) - 1
-            span = bit << 1
-            while span < self.size:
-                mask |= mask << span
-                span <<= 1
-            self._lacking[bit] = mask
-        return mask
 
     def pair_swings(self, table: int, a: str, b: str) -> tuple[int, int]:
         """The masks without tuples ``a`` and ``b`` at which adding ``a``
         changes a packed Boolean table (`packed_table`), and those at which
         adding ``b`` does, each packed into one integer."""
         bit_a, bit_b = 1 << self.bit[a], 1 << self.bit[b]
-        without = self.lacking(bit_a) & self.lacking(bit_b)
+        lacking = self.lattice.lacking
+        without = lacking(bit_a) & lacking(bit_b)
         return ((table >> bit_a) ^ table) & without, ((table >> bit_b) ^ table) & without
 
     def mass_table(self, pdb: PDBSpace) -> list[Fraction]:
@@ -260,16 +312,6 @@ def swing_sum(values, bit: int, weight=None) -> Fraction:
     return _ratio_sum(terms())
 
 
-def _levels(n: int) -> list[int]:
-    """``levels[k]`` packs the masks of k bits among n."""
-    levels = [1]
-    for i in range(n):
-        # k bits among i + 1: k among i without bit i, or k - 1 with it.
-        span = 1 << i
-        levels = [a | b << span for a, b in zip(levels + [0], [0] + levels)]
-    return levels
-
-
 def _swing_scorer(
     worlds: EndoWorlds, table: int | list, kind: ScoreKind,
     masses: list[Fraction] | None = None,
@@ -282,16 +324,21 @@ def _swing_scorer(
     (`EndoWorlds.packed_table`), bit S set iff Q holds on S.  For tuple bit
     b, the masks S without b that b swings up are ``(T >> b) & ~T`` and
     those it swings down ``T & ~(T >> b)``, both restricted to the masks
-    without b; a score weighs the first set minus the second.  The masses
-    at a set's bits are summed as integer (numerator, denominator) pairs
+    without b; a score weighs the first set minus the second.  Banzhaf and
+    power weigh every swing alike and need only |up| - |down|: of the masks
+    S without b, c_b = popcount((T >> b) & lacking_b) hold Q with b added
+    and the other c - c_b of T's c = popcount(T) set bits hold it without,
+    so |up| - |down| = c_b - (c - c_b) = 2 c_b - c.  The masses at a
+    set's bits are summed as integer (numerator, denominator) pairs
     (`_ratio_sum`).  An aggregate table comes as the list and goes through
     `swing_sum`."""
     n = len(worlds.order)
+    lattice = worlds.lattice
     denominator = 1 << max(n - 1, 0) if kind is ScoreKind.BANZHAF else 1
     if kind is ScoreKind.SHAPLEY:
         # The weight |S|! (n-|S|-1)! / n! as an integer over the common
         # denominator n!, so the sum adds integers and divides once.
-        shares = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
+        shares = lattice.shares
         denominator = math.factorial(n)
     if isinstance(table, list):
         def score(tid: str) -> Fraction:
@@ -306,29 +353,36 @@ def _swing_scorer(
             return swing_sum(table, bit, weight) / denominator
         return score
 
+    lacking = lattice.lacking
+    if kind in (ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE):
+        total = table.bit_count()
+
+        def count_score(tid: str) -> Fraction:
+            bit = 1 << worlds.bit[tid]
+            return Fraction(2 * (table >> bit & lacking(bit)).bit_count() - total, denominator)
+        return count_score
+
     if kind is ScoreKind.SHAPLEY:
-        levels = _levels(n)
+        levels = lattice.levels
         # An empty swing set (a monotone table swings nothing down) weighs 0.
         weigh = lambda swings: swings and sum(
             share * (swings & level).bit_count() for share, level in zip(shares, levels)
         )
-    elif kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
+    else:  # weighted power and GCES
         pairs = list(map(Fraction.as_integer_ratio, masses))
         # As above: a monotone table's empty down-swing set adds nothing.
         weigh = lambda swings: swings and _ratio_sum(
             compress(pairs, _unpack(swings, worlds.size))
         )
-    else:
-        weigh = int.bit_count
 
     complement = ~table
 
     def packed_score(tid: str) -> Fraction:
         bit = 1 << worlds.bit[tid]
-        lacking = worlds.lacking(bit)
+        without = lacking(bit)
         shifted = table >> bit
-        up = shifted & complement & lacking
-        down = table & ~shifted & lacking
+        up = shifted & complement & without
+        down = table & ~shifted & without
         if kind is ScoreKind.GCES:  # weighed by p(S) + p(S + t)
             up, down = up | up << bit, down | down << bit
         return Fraction(weigh(up) - weigh(down), denominator)

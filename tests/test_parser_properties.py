@@ -151,3 +151,42 @@ def test_probability_fast_path_matches_the_general_route_on_listed_strings(text)
        | st.text(alphabet="0123456789./ +-_eEx\t\u0661\u0662", max_size=10))
 def test_probability_fast_path_matches_the_general_route(text):
     _assert_same_as_general_route(text)
+
+
+#: A plain decimal that parses with no digit limit and not under 4300.
+DIGITS_5000 = "0." + "3" * 5000
+MEMO_CORPUS = WIRE_PROBABILITIES + [
+    "1/3", "0.30", "1/3", "2/3", "0.125", "00.5", "1.5", "7/6", "1e-3", DIGITS_5000,
+]
+
+
+def test_probability_memo_matches_the_unmemoized_route():
+    # The reference parse of each text, under each digit limit, starts
+    # from an empty memo; then one memo sees the whole corpus twice under
+    # limits 0, 4300 and 0 again, and must answer as the reference does:
+    # a value kept under one limit is not served under another, and an
+    # error is raised on every call.
+    import sys
+
+    from causalpdb import core
+
+    limits = (0, 4300, 0)
+    saved = sys.get_int_max_str_digits()
+    try:
+        expected = {}
+        for limit in set(limits):
+            sys.set_int_max_str_digits(limit)
+            for text in MEMO_CORPUS:
+                core._probability_text.cache_clear()
+                expected[limit, text] = _outcome(Probability.from_wire, text)
+        assert expected[0, DIGITS_5000][0] is Probability
+        assert expected[4300, DIGITS_5000][0] is InputError
+        core._probability_text.cache_clear()
+        for limit in limits:
+            sys.set_int_max_str_digits(limit)
+            for text in MEMO_CORPUS * 2:
+                assert _outcome(Probability.from_wire, text) == expected[limit, text], text[:40]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    info = core._probability_text.cache_info()
+    assert info.hits and info.currsize <= info.maxsize < 1000

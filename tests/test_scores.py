@@ -37,7 +37,9 @@ from causalpdb import (
 )
 from causalpdb import queries as queries_module
 from causalpdb import scores as scores_module
-from causalpdb.queries import BCQ, COUNT, UBCQ, Atom, Var, evaluate
+from causalpdb.queries import (
+    BCQ, COUNT, UBCQ, Atom, ConjQuery, DisjQuery, QueryOfSet, Var, evaluate,
+)
 from causalpdb.scores import (
     EndoWorlds,
     ScoreEntry,
@@ -72,6 +74,7 @@ from helpers import (
     random_instance,
     random_tid_space,
     four_worlds_space,
+    sum_query,
 )
 
 
@@ -790,7 +793,7 @@ def test_score_all_matches_oracles(kind):
 
 
 def _evaluated_table(worlds, q):
-    return [evaluate(q, worlds.instance, worlds.world(m)) for m in range(worlds.size)]
+    return bytes(evaluate(q, worlds.instance, worlds.world(m)) for m in range(worlds.size))
 
 
 def _count_evaluations(monkeypatch):
@@ -822,8 +825,8 @@ def test_value_table_constant_queries(monkeypatch):
     worlds = EndoWorlds(inst)
     sure = parse_query("Q() :- R(a,X)", inst.schema)
     never = parse_query("Q() :- R(X,X)", inst.schema)
-    assert worlds.value_table(sure) == _evaluated_table(worlds, sure) == [1] * 8
-    assert worlds.value_table(never) == _evaluated_table(worlds, never) == [0] * 8
+    assert worlds.value_table(sure) == _evaluated_table(worlds, sure) == bytes([1] * 8)
+    assert worlds.value_table(never) == _evaluated_table(worlds, never) == bytes(8)
     assert calls == []
 
 
@@ -839,9 +842,30 @@ def test_value_table_falls_back_past_one_image_per_mask(n_exo, evaluations, monk
     inst = InstanceStore(schema, recs)
     q = parse_query("Q() :- R(a), E(X,b)", schema)
     worlds = EndoWorlds(inst)
-    assert worlds.value_table(q) == [0, 1]
+    assert worlds.value_table(q) == bytes([0, 1])
     assert len(calls) == evaluations
-    assert _evaluated_table(worlds, q) == [0, 1]
+    assert _evaluated_table(worlds, q) == bytes([0, 1])
+
+
+def test_boolean_value_tables_are_bytes_equal_to_their_evaluated_form():
+    # Lineage-built (BCQs, unions) and evaluated (world-level forms) alike.
+    rng = random.Random(2526)
+    for _ in range(30):
+        inst = random_instance(rng, 6, n_exogenous=1)
+        worlds = EndoWorlds(inst)
+        bcq, union = random_bcq(rng), random_boolean_query(rng)
+        some = QueryOfSet(frozenset(rng.sample(inst.endogenous_order, 1)))
+        for q in (bcq, union, some, ConjQuery((bcq, some)), DisjQuery((union, some))):
+            table = worlds.value_table(q)
+            assert type(table) is bytes and table == _evaluated_table(worlds, q), q
+            assert worlds.packed_table(q) == _pack(table)
+    # An aggregate's table stays a list of Fractions.
+    inst = paths_full_instance()
+    worlds = EndoWorlds(inst)
+    q = sum_query(inst.schema)
+    assert worlds.value_table(q) == [
+        evaluate(q, inst, worlds.world(m)) for m in range(worlds.size)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +936,24 @@ def test_packed_kernel_on_the_smallest_tables(n_endogenous):
         assert total_power(inst, q) == power
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def _closed_upward(values: list[int]) -> list[int]:
+    """The least monotone table at or above ``values``."""
+    table = list(values)
+    for mask in range(len(table)):
+        bit = 1
+        while bit <= mask:
+            if mask & bit and table[mask ^ bit]:
+                table[mask] = 1
+            bit <<= 1
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_packed_kernel_equals_swing_sum_on_any_01_table(n):
-    # Random tables are not monotone, so tuples also swing down.
+    # Random tables are not monotone, so tuples also swing down; their
+    # upward closures are.  Banzhaf and power read one popcount per tuple
+    # (2 popcount((T >> b) & lacking_b) - popcount(T)), the other kinds
+    # the swing sets, and `swing_sum` adds the swings one mask at a time.
     rng = random.Random(n)
     inst = InstanceStore(
         {"P": RelationSchema("P", 1)},
@@ -922,15 +961,19 @@ def test_packed_kernel_equals_swing_sum_on_any_01_table(n):
     )
     worlds = EndoWorlds(inst)
     masses = worlds.mass_table(random_tid_space(rng, inst))
-    for _ in range(3):
-        values = [rng.randint(0, 1) for _ in range(worlds.size)]
-        for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
-                     ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
-            packed = _swing_scorer(worlds, _pack(values), kind, masses)
-            listed = _swing_scorer(worlds, values, kind, masses)
-            assert [packed(t) for t in inst.endogenous_order] == [
-                listed(t) for t in inst.endogenous_order
-            ]
+    for monotone in (False, True):
+        for _ in range(3):
+            density = rng.choice((0.05, 0.5, 0.95))
+            values = [int(rng.random() < density) for _ in range(worlds.size)]
+            if monotone:
+                values = _closed_upward(values)
+            for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
+                         ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
+                packed = _swing_scorer(worlds, _pack(values), kind, masses)
+                listed = _swing_scorer(worlds, values, kind, masses)
+                assert [packed(t) for t in inst.endogenous_order] == [
+                    listed(t) for t in inst.endogenous_order
+                ], (kind, monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1093,7 @@ def test_lacking_holds_exactly_the_masks_without_the_bit(n):
         for mask in range(worlds.size):
             if not mask >> i & 1:
                 expected |= 1 << mask
-        assert worlds.lacking(1 << i) == expected, i
+        assert worlds.lattice.lacking(1 << i) == expected, i
 
 
 def test_pair_swings_match_the_subset_oracle():
@@ -1261,3 +1304,118 @@ def test_lineage_reuse_one_query_on_two_instances():
         for inst in instances * 2:
             for tid in inst.endogenous_order:
                 assert power_of_tuple(inst, q, tid) == oracle_power_of_tuple(inst, q, tid)
+
+
+# ---------------------------------------------------------------------------
+# Lattice masks kept per table size, and identities past the oracles' range
+# ---------------------------------------------------------------------------
+
+PADDED_SCHEMA = {**CORPUS_SCHEMA, "U": RelationSchema("U", 1)}
+
+
+def _pads(count: int) -> list[TupleRecord]:
+    """Endogenous tuples of a predicate no query names; half of their ids
+    sort before the ``t`` ids of `random_instance`, half after, so their
+    bits sit on both sides of the other tuples' bits."""
+    return [
+        TupleRecord(f"{'su'[i % 2]}{i:02d}", "U", (f"c{i}",), "endogenous")
+        for i in range(count)
+    ]
+
+
+def _padded_draw(rng: random.Random, n: int):
+    """(padded space, unpadded space, query): up to five endogenous tuples
+    and one exogenous tuple from the random corpus, on which the query
+    has a table neither all 0s nor all 1s, padded to n endogenous tuples;
+    the two spaces share their marginals."""
+    while True:
+        core = random_instance(rng, min(n, 5), n_exogenous=1, min_endogenous=min(n, 5))
+        q = random_boolean_query(rng)
+        if 0 < sum(EndoWorlds(core).value_table(q)) < 1 << len(core.endogenous_order):
+            break
+    records = core.records() + _pads(n - len(core.endogenous_order))
+    padded = random_tid_space(rng, InstanceStore(PADDED_SCHEMA, records))
+    marginals = padded.representation.marginals
+    unpadded = PDBSpace(core, TupleIndependent({t: marginals[t] for t in core.tids}))
+    return padded, unpadded, q
+
+
+def test_lattice_masks_serve_alternating_table_sizes():
+    # Tuples no query reads are null players: they score 0, leave Shapley,
+    # Banzhaf and weighted power as they are, and double power each, so
+    # the oracles on the unpadded instance give every padded score.
+    scores_module._kept_lattice.cache_clear()
+    rng = random.Random(2525)
+    for n in (3, 12, 5, 12, 16, 17):
+        space, unpadded, q = _padded_draw(rng, n)
+        core_tids = unpadded.instance.endogenous_order
+        pads = [t for t in space.instance.endogenous_order if t not in core_tids]
+        for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
+                     ScoreKind.WEIGHTED_POWER):
+            scale = 1 << len(pads) if kind is ScoreKind.POWER_TUPLE else 1
+            expected = dict.fromkeys(pads, Fraction(0))
+            expected.update(
+                (t, SCORE_ORACLES[kind](unpadded, q, t) * scale) for t in core_tids
+            )
+            assert score_all(space, q, kind).values() == expected, (n, kind)
+    # Sizes 3, 5, 12 and 16 are kept, one lattice each; 17 is past the bound.
+    assert scores_module._kept_lattice.cache_info().currsize == 4
+    twelve = [EndoWorlds(_padded_draw(rng, 12)[0].instance) for _ in range(2)]
+    assert twelve[0].lattice is twelve[1].lattice
+    seventeen = [EndoWorlds(_padded_draw(rng, 17)[0].instance) for _ in range(2)]
+    assert seventeen[0].lattice is not seventeen[1].lattice
+
+
+def test_kept_lattices_stay_under_a_megabyte():
+    import sys
+
+    kept = 0
+    for n in range(scores_module._KEPT_TUPLES + 1):
+        lattice = scores_module._lattice(n)
+        masks = [lattice.lacking(1 << i) for i in range(n)] + lattice.levels
+        kept += sum(map(sys.getsizeof, masks))
+    assert kept < 1 << 20
+    big = scores_module._lattice(scores_module._KEPT_TUPLES + 1)
+    assert big is not scores_module._lattice(scores_module._KEPT_TUPLES + 1)
+
+
+PATH_SCHEMA = {"E": RelationSchema("E", 2), "U": RelationSchema("U", 1)}
+
+
+def _random_graph(rng: random.Random, n_endogenous: int) -> list[TupleRecord]:
+    """Distinct edges among six nodes, a and b among them, one of them
+    exogenous."""
+    nodes = "abcdef"
+    edges = rng.sample([(x, y) for x in nodes for y in nodes if x != y], n_endogenous + 1)
+    return [
+        TupleRecord(f"e{i:02d}", "E", edge, "endogenous" if i < n_endogenous else "exogenous")
+        for i, edge in enumerate(edges)
+    ]
+
+
+@pytest.mark.parametrize("n", range(14, 19))
+def test_shapley_efficiency_past_the_oracles(n):
+    # Sum over t of Shapley(t) = Q(D) - Q(D_x), at any N.
+    rng = random.Random(2600 + n)
+    q = path_query(PATH_SCHEMA)
+    for _ in range(3):
+        inst = InstanceStore(PATH_SCHEMA, _random_graph(rng, n))
+        total = sum(score_all(inst, q, ScoreKind.SHAPLEY).values().values(), Fraction(0))
+        assert total == evaluate(q, inst, inst.tids) - evaluate(q, inst, inst.exogenous)
+
+
+def test_padding_moves_the_table_size_and_leaves_the_scores():
+    # Each pad scores 0; Shapley and Banzhaf stay, power doubles per pad.
+    rng = random.Random(2700)
+    q = path_query(PATH_SCHEMA)
+    for n, extra in ((10, 1), (12, 3), (14, 2), (11, 6)):
+        records = _random_graph(rng, n)
+        inst = InstanceStore(PATH_SCHEMA, records)
+        padded = InstanceStore(PATH_SCHEMA, records + _pads(extra))
+        pads = dict.fromkeys((r.tid for r in _pads(extra)), Fraction(0))
+        for kind, scale in ((ScoreKind.SHAPLEY, 1), (ScoreKind.BANZHAF, 1),
+                            (ScoreKind.POWER_TUPLE, 1 << extra)):
+            base = score_all(inst, q, kind).values()
+            assert score_all(padded, q, kind).values() == {
+                **{t: v * scale for t, v in base.items()}, **pads
+            }, (n, extra, kind)
