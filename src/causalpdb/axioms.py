@@ -63,16 +63,16 @@ DEFAULT_SYM_CAP = 20
 ScoreFunction = Callable[[PDBSpace, Query, str], Fraction]
 
 
-def gces_score(pdb: PDBSpace, q: Query, tid: str) -> Fraction:
-    return causal_effect(pdb, q, tid)
+def gces_score(pdb: PDBSpace, q: Query, tid: str, cap: int | None = None) -> Fraction:
+    return causal_effect(pdb, q, tid, cap)
 
 
-def banzhaf_score(pdb: PDBSpace, q: Query, tid: str) -> Fraction:
-    return banzhaf(pdb.instance, q, tid)
+def banzhaf_score(pdb: PDBSpace, q: Query, tid: str, cap: int | None = None) -> Fraction:
+    return banzhaf(pdb.instance, q, tid, cap)
 
 
-def shapley_score(pdb: PDBSpace, q: Query, tid: str) -> Fraction:
-    return shapley(pdb.instance, q, tid)
+def shapley_score(pdb: PDBSpace, q: Query, tid: str, cap: int | None = None) -> Fraction:
+    return shapley(pdb.instance, q, tid, cap)
 
 
 def constant_score(value) -> ScoreFunction:
@@ -184,7 +184,7 @@ def _check_pairs(
     worlds = EndoWorlds(pdb.instance, cap if cap is not None else DEFAULT_SYM_CAP)
     table = worlds.packed_table(q)
     if generalized:
-        weighted = _swing_scorer(worlds, table, ScoreKind.WEIGHTED_POWER, worlds.mass_table(pdb))
+        weighted = _swing_scorer(worlds, ScoreKind.WEIGHTED_POWER, pdb)(table)
         value = functools.cache(lambda tid: score_fn(pdb, q, tid) - weighted(tid))
         subject = "pair ({},{}) score minus weighted power"
     else:

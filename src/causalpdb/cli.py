@@ -342,8 +342,8 @@ def cmd_axioms(args) -> int:
         q2 = load_query_file(args.query2, doc.instance.schema)
         _require_boolean(q2)
     # Each check asks for scores the others ask for too; one request
-    # scores each (query, tuple) once.
-    score_fn = functools.cache(SCORE_FUNCTIONS[args.score])
+    # scores each (query, tuple) once, under the request's cap.
+    score_fn = functools.cache(functools.partial(SCORE_FUNCTIONS[args.score], cap=cap))
     verdicts = [
         check_dum(doc.space, q, score_fn, cap),
         check_eff(doc.space, q, score_fn, cap),

@@ -16,27 +16,26 @@ Boolean query over the base worlds by their pushed images, an aggregate
 over the materialized intervened spaces.  `gces_oracle` recomputes one
 effect along independent routes, the same ones for every query.
 
-Every subset score is one weighted swing sum over one value table: the
-sum, over the endogenous subsets S without tuple t, of Q(S + t) - Q(S)
-times a weight that depends only on the score.  Shapley weighs by |S|
-(2^N subsets beat N! permutations), Banzhaf and power weigh uniformly,
-weighted power by the mass p(S), and the causal effect's subset form by
-p(S) + p(S + t).  A Boolean table is packed into one integer, bit S set iff
-Q holds on S, and `_swing_scorer` finds the subsets a tuple swings with a
-few big-integer operations: Banzhaf and power need only one popcount per
-tuple, Shapley counts the swings per subset size, and the mass-weighted
-kinds sum the masses at their bits.  The masks these operations read
-depend on the number of tuples alone (`_Lattice`) and are built once per
-table size.  Aggregate tables hold numbers, not bits, so they
-are summed mask by mask (`swing_sum`).  Mass-weighted and aggregate sums
-add integer (numerator, denominator) pairs over a running common
-denominator (`core._ratio_sum`), one `Fraction` per sum.
+Every subset score is one weighted swing sum: the sum, over the
+endogenous subsets S without tuple t, of Q(S + t) - Q(S) times a weight
+that depends only on the score.  Shapley weighs by |S| (2^N subsets beat
+N! permutations), Banzhaf and power weigh uniformly, weighted power by the
+mass p(S), and the causal effect's subset form by p(S) + p(S + t).  One
+kernel, `_swing_scorer`, sums it over a Boolean table packed into one
+integer, bit S set iff Q holds on S, with a few big-integer operations:
+Banzhaf and power need one popcount per tuple, Shapley counts the swings
+per subset size, and the mass-weighted kinds add the masses at their bits
+as integer (numerator, denominator) pairs (`core._ratio_sum`).  The masks
+these operations read depend on the number of tuples alone (`_Lattice`).
+A score is linear in the game, so an aggregate, the sum of value(a) over
+its distinct body assignments a, scores as the sum of value(a) times the
+score of the Boolean game "a homomorphism with assignment a maps into S".
 
-The value table of a BCQ or a union comes from its lineage: over a fixed
-instance such a query is the DNF of its homomorphism images, so a subset
-satisfies it iff it holds an image's endogenous part.  The images' masks
-are set in one integer and closed upward by one shift per tuple.
-Aggregates and the world-level forms are evaluated subset by subset.
+The table of a BCQ, a union or one such game comes from its lineage: over
+a fixed instance such a query is the DNF of its homomorphism images, so a
+subset satisfies it iff it holds an image's endogenous part.  The images'
+masks are set in one integer and closed upward by one shift per tuple.
+The world-level forms are evaluated subset by subset.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
     DEFAULT_WORLD_CAP,
@@ -70,9 +69,12 @@ from .interventions import (
 from .queries import (
     BCQ,
     BRUTE,
+    COUNT,
     UBCQ,
+    Aggregate,
     Query,
     _homomorphism_images,
+    _homomorphisms,
     _Route,
     _route,
     _world_sum,
@@ -188,10 +190,10 @@ class EndoWorlds:
     def world(self, mask: int) -> frozenset[str]:
         return self.endo_tids(mask) | self.instance.exogenous
 
-    def value_table(self, q: Query) -> bytes | list[Fraction]:
-        """Q[W union D_ex] for every endogenous subset W: for a Boolean
-        query 2^N bytes, each 0 or 1, and for an aggregate a list of
-        Fractions.
+    def value_table(self, q: Query) -> bytes:
+        """Q[W union D_ex] for every endogenous subset W of a Boolean
+        query, as 2^N bytes, each 0 or 1 (an aggregate is a sum of Boolean
+        games, `aggregate_games`).
 
         A BCQ or union is the DNF of its homomorphism images: W satisfies
         it iff W holds the endogenous part of some image, so the table is
@@ -201,13 +203,13 @@ class EndoWorlds:
         images than masks, and for the other forms, every subset is
         evaluated instead; Boolean forms are monotone, so a mask whose
         strict submask already holds needs no homomorphism search."""
+        if not is_boolean(q):
+            raise InputError("value tables are built for Boolean queries, not aggregates")
         self._packed = None
         if isinstance(q, (BCQ, UBCQ)):
             self._packed = self._lineage_table(q)
             if self._packed is not None:
                 return _unpack(self._packed, self.size)
-        if not is_boolean(q):
-            return [evaluate(q, self.instance, self.world(mask)) for mask in range(self.size)]
         table = bytearray(self.size)
         for mask in range(self.size):
             if mask:
@@ -241,12 +243,41 @@ class EndoWorlds:
                 break
             table |= 1 << self.mask_of(image & self.instance.endogenous)
         else:
-            lacking = self.lattice.lacking
-            for i in range(len(self.order)):  # close upward, one tuple at a time
-                bit = 1 << i
-                table |= (table & lacking(bit)) << bit
+            table = self._closed(table)
         self.instance._lineage = (q, table)
         return table
+
+    def _closed(self, table: int) -> int:
+        """A packed table closed upward, one shift per tuple."""
+        lacking = self.lattice.lacking
+        for i in range(len(self.order)):
+            bit = 1 << i
+            table |= (table & lacking(bit)) << bit
+        return table
+
+    def aggregate_games(self, q: Aggregate) -> Iterator[tuple[Fraction, int]]:
+        """The aggregate as (value(a), packed g_a) pairs, one per distinct
+        body assignment a of one walk (the keys `evaluate` sums over):
+        Q[W] is the sum of value(a) g_a(W), and g_a holds on W iff W holds
+        the endogenous part of an image of a's homomorphisms, so its table
+        is those parts' masks closed upward, built as the pairs are read.
+        A non-numeric target is refused as evaluating the subsets in mask
+        order would: at the least mask holding one."""
+        endogenous = self.instance.endogenous
+        games: dict[frozenset, tuple[Fraction, set[int]]] = {}
+        refused = None  # the least image mask with a non-numeric target
+        chosen: list[str] = []
+        for binding in _homomorphisms(q.atoms, self.instance, None, {}, chosen):
+            mask = self.mask_of(endogenous.intersection(chosen))
+            value = Fraction(1) if q.op == COUNT else binding[q.target.name]
+            if not isinstance(value, Fraction):
+                refused = mask if refused is None else min(refused, mask)
+            else:
+                games.setdefault(frozenset(binding.items()), (value, set()))[1].add(mask)
+        if refused is not None:  # evaluating that subset raises the refusal
+            evaluate(q, self.instance, self.world(refused))
+        # The masks are distinct, so their powers of two add as an OR.
+        return ((value, self._closed(sum(1 << m for m in masks))) for value, masks in games.values())
 
     def pair_swings(self, table: int, a: str, b: str) -> tuple[int, int]:
         """The masks without tuples ``a`` and ``b`` at which adding ``a``
@@ -295,98 +326,63 @@ def _unpack(table: int, size: int) -> bytes:
     return format(table, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
-def swing_sum(values, bit: int, weight=None) -> Fraction:
-    """Sum of the swings ``values[S | bit] - values[S]`` over the masks S
-    without ``bit``, each nonzero swing multiplied by ``weight(S)`` when a
-    weight is given.  The weighted swings are added as integer
-    (numerator, denominator) pairs (`_ratio_sum`).  Only aggregate tables
-    come here; Boolean tables are packed and summed by `_swing_scorer`."""
-    def terms():
-        for high in range(0, len(values), bit << 1):
-            for mask in range(high, high + bit):
-                swing = values[mask | bit] - values[mask]
-                if swing:
-                    w = 1 if weight is None else weight(mask)
-                    yield swing.numerator * w.numerator, swing.denominator * w.denominator
-
-    return _ratio_sum(terms())
-
-
 def _swing_scorer(
-    worlds: EndoWorlds, table: int | list, kind: ScoreKind,
-    masses: list[Fraction] | None = None,
-) -> Callable[[str], Fraction]:
-    """The score of one tuple for a subset-enumeration kind (GCES meaning
-    its subset form) over one value table and, for the mass-weighted kinds,
-    one mass table.
-
-    A Boolean table comes packed into one integer T
-    (`EndoWorlds.packed_table`), bit S set iff Q holds on S.  For tuple bit
-    b, the masks S without b that b swings up are ``(T >> b) & ~T`` and
-    those it swings down ``T & ~(T >> b)``, both restricted to the masks
-    without b; a score weighs the first set minus the second.  Banzhaf and
-    power weigh every swing alike and need only |up| - |down|: of the masks
-    S without b, c_b = popcount((T >> b) & lacking_b) hold Q with b added
-    and the other c - c_b of T's c = popcount(T) set bits hold it without,
-    so |up| - |down| = c_b - (c - c_b) = 2 c_b - c.  The masses at a
-    set's bits are summed as integer (numerator, denominator) pairs
-    (`_ratio_sum`).  An aggregate table comes as the list and goes through
-    `swing_sum`."""
-    n = len(worlds.order)
-    lattice = worlds.lattice
+    worlds: EndoWorlds, kind: ScoreKind, source: Union[PDBSpace, InstanceStore],
+) -> Callable[[int], Callable[[str], Fraction]]:
+    """The one kernel of the subset-enumeration kinds (GCES meaning its
+    subset form), prepared once per request (Shapley's weights, the
+    source's masses as integer pairs for the mass-weighted kinds): it
+    maps a Boolean table packed into one integer T, bit S set iff Q holds
+    on S, to the score of each tuple.  For tuple bit b, the masks S without b that b swings up are
+    ``(T >> b) & ~T`` and those it swings down ``T & ~(T >> b)``, both
+    restricted to the masks without b; a score weighs the first set minus
+    the second.  Banzhaf and power weigh every swing alike and need only
+    |up| - |down|: of the masks S without b, c_b = popcount((T >> b) &
+    lacking_b) hold Q with b added and the other c - c_b of T's c =
+    popcount(T) set bits hold it without, so |up| - |down| = c_b - (c -
+    c_b) = 2 c_b - c.  The masses at a set's bits are summed as integer
+    (numerator, denominator) pairs (`_ratio_sum`)."""
+    n, lattice = len(worlds.order), worlds.lattice
+    lacking = lattice.lacking
     denominator = 1 << max(n - 1, 0) if kind is ScoreKind.BANZHAF else 1
     if kind is ScoreKind.SHAPLEY:
         # The weight |S|! (n-|S|-1)! / n! as an integer over the common
         # denominator n!, so the sum adds integers and divides once.
-        shares = lattice.shares
+        shares, levels = lattice.shares, lattice.levels
         denominator = math.factorial(n)
-    if isinstance(table, list):
-        def score(tid: str) -> Fraction:
-            bit = 1 << worlds.bit[tid]
-            weight = None  # Banzhaf and power weigh every swing alike
-            if kind is ScoreKind.SHAPLEY:
-                weight = lambda mask: shares[mask.bit_count()]
-            elif kind is ScoreKind.WEIGHTED_POWER:
-                weight = masses.__getitem__
-            elif kind is ScoreKind.GCES:
-                weight = lambda mask: masses[mask] + masses[mask | bit]
-            return swing_sum(table, bit, weight) / denominator
-        return score
-
-    lacking = lattice.lacking
-    if kind in (ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE):
-        total = table.bit_count()
-
-        def count_score(tid: str) -> Fraction:
-            bit = 1 << worlds.bit[tid]
-            return Fraction(2 * (table >> bit & lacking(bit)).bit_count() - total, denominator)
-        return count_score
-
-    if kind is ScoreKind.SHAPLEY:
-        levels = lattice.levels
         # An empty swing set (a monotone table swings nothing down) weighs 0.
         weigh = lambda swings: swings and sum(
             share * (swings & level).bit_count() for share, level in zip(shares, levels)
         )
-    else:  # weighted power and GCES
-        pairs = list(map(Fraction.as_integer_ratio, masses))
+    elif kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
+        pairs = list(map(Fraction.as_integer_ratio, worlds.mass_table(source)))
         # As above: a monotone table's empty down-swing set adds nothing.
         weigh = lambda swings: swings and _ratio_sum(
             compress(pairs, _unpack(swings, worlds.size))
         )
 
-    complement = ~table
+    def scorer(table: int) -> Callable[[str], Fraction]:
+        if kind in (ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE):
+            total = table.bit_count()
 
-    def packed_score(tid: str) -> Fraction:
-        bit = 1 << worlds.bit[tid]
-        without = lacking(bit)
-        shifted = table >> bit
-        up = shifted & complement & without
-        down = table & ~shifted & without
-        if kind is ScoreKind.GCES:  # weighed by p(S) + p(S + t)
-            up, down = up | up << bit, down | down << bit
-        return Fraction(weigh(up) - weigh(down), denominator)
-    return packed_score
+            def count_score(tid: str) -> Fraction:
+                bit = 1 << worlds.bit[tid]
+                return Fraction(2 * (table >> bit & lacking(bit)).bit_count() - total, denominator)
+            return count_score
+
+        complement = ~table
+
+        def packed_score(tid: str) -> Fraction:
+            bit = 1 << worlds.bit[tid]
+            without = lacking(bit)
+            shifted = table >> bit
+            up = shifted & complement & without
+            down = table & ~shifted & without
+            if kind is ScoreKind.GCES:  # weighed by p(S) + p(S + t)
+                up, down = up | up << bit, down | down << bit
+            return Fraction(weigh(up) - weigh(down), denominator)
+        return packed_score
+    return scorer
 
 
 def _swing_scores(
@@ -394,22 +390,24 @@ def _swing_scores(
     tids: Sequence[str], cap: int | None = None,
 ) -> list[Fraction]:
     """Scores of the given tuples for a subset-enumeration kind (GCES meaning
-    its subset form), all from one value table and, for the mass-weighted
-    kinds, one mass table.  A Boolean query's table is read packed
-    (`EndoWorlds.packed_table`: a lineage's integer as built, never
-    unpacked and packed again), an aggregate's as the list."""
+    its subset form), all from one kernel (`_swing_scorer`).  A Boolean
+    query's table is read packed (`EndoWorlds.packed_table`: a lineage's
+    integer as built, never unpacked and packed again).  An aggregate's
+    games are scored one at a time, each into running totals."""
     instance = _instance_of(source)
     instance.require_endogenous(tids)
     worlds = EndoWorlds(instance, cap)
     if is_boolean(q):
         table = worlds.packed_table(q)
-    else:
-        table = worlds.value_table(q)
-    masses = None
-    if kind in (ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
-        masses = worlds.mass_table(source)
-    score = _swing_scorer(worlds, table, kind, masses)
-    return [score(tid) for tid in tids]
+        score = _swing_scorer(worlds, kind, source)(table)
+        return [score(tid) for tid in tids]
+    games = worlds.aggregate_games(q)  # walked, and any refusal raised, here
+    scorer = _swing_scorer(worlds, kind, source)
+    totals = [Fraction(0)] * len(tids)
+    for value, table in games:
+        score = scorer(table)
+        totals = [total + value * score(tid) for total, tid in zip(totals, tids)]
+    return totals
 
 
 def delta(

@@ -420,6 +420,30 @@ def test_axioms_scores_each_tuple_once_per_request(monkeypatch, capsys, score):
         assert len(builds) == 11 * request
 
 
+@pytest.mark.parametrize("score", ["gces", "banzhaf", "shapley"])
+def test_axioms_scores_honour_max_endogenous(monkeypatch, capsys, tmp_path, score):
+    # With both enumeration caps below the document's six endogenous
+    # tuples, --max-endogenous 6 must admit the scores the checks ask for,
+    # as it admits the same score from `score`.  The space is
+    # tuple-independent, so the causal effect of the path union (no lifted
+    # plan) enumerates worlds too.
+    from causalpdb import core, scores
+
+    doc = json.loads((FIXTURES / "four_worlds_pdb.json").read_text())
+    del doc["worlds"]
+    doc["marginals"] = {entry["tid"]: "0.5" for entry in doc["tuples"]}
+    pdb = tmp_path / "half.json"
+    pdb.write_text(json.dumps(doc))
+    monkeypatch.setattr(core, "DEFAULT_WORLD_CAP", 4)
+    monkeypatch.setattr(scores, "DEFAULT_WORLD_CAP", 4)
+    files = ["--pdb", pdb, "--query", FIXTURES / "path_query.q"]
+    code, _, err = run(capsys, "axioms", "--score", score, *files)
+    assert code == 1 and "exceed the" in err
+    for argv in (["axioms", "--score", score], ["score", "--kind", score]):
+        code, _, err = run(capsys, *argv, "--max-endogenous", "6", *files)
+        assert code == 0 and err == "", argv
+
+
 @pytest.mark.parametrize("argv, spaces", [
     (["score", "--kind", "gces"], 1),
     (["axioms", "--score", "gces"], 1),

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from causalpdb import (
 from causalpdb import queries as queries_module
 from causalpdb import scores as scores_module
 from causalpdb.queries import (
-    BCQ, COUNT, UBCQ, Atom, ConjQuery, DisjQuery, QueryOfSet, Var, evaluate,
+    BCQ, COUNT, SUM, UBCQ, Atom, ConjQuery, DisjQuery, QueryOfSet, Var, evaluate,
 )
 from causalpdb.scores import (
     EndoWorlds,
@@ -670,12 +671,12 @@ def test_mass_weighted_scores_skip_an_empty_swing_set(kind, monkeypatch):
     q = path_query(space.instance.schema)
     tids = space.instance.endogenous_order
     worlds = EndoWorlds(space.instance)
-    table, masses = worlds.packed_table(q), worlds.mass_table(space)
+    table = worlds.packed_table(q)
     unpacked = []
     original = scores_module._unpack
     monkeypatch.setattr(scores_module, "_unpack",
                         lambda swings, size: unpacked.append(swings) or original(swings, size))
-    score = _swing_scorer(worlds, table, kind, masses)
+    score = _swing_scorer(worlds, kind, space)(table)
     got = [score(tid) for tid in tids]
     swinging = [tid for tid in tids if oracle_banzhaf(space.instance, q, tid) != 0]
     assert 0 not in unpacked and len(unpacked) == len(swinging) > 0
@@ -859,13 +860,10 @@ def test_boolean_value_tables_are_bytes_equal_to_their_evaluated_form():
             table = worlds.value_table(q)
             assert type(table) is bytes and table == _evaluated_table(worlds, q), q
             assert worlds.packed_table(q) == _pack(table)
-    # An aggregate's table stays a list of Fractions.
+    # An aggregate has no value table: it is scored as a sum of games.
     inst = paths_full_instance()
-    worlds = EndoWorlds(inst)
-    q = sum_query(inst.schema)
-    assert worlds.value_table(q) == [
-        evaluate(q, inst, worlds.world(m)) for m in range(worlds.size)
-    ]
+    with pytest.raises(InputError, match="Boolean queries, not aggregates"):
+        EndoWorlds(inst).value_table(sum_query(inst.schema))
 
 
 # ---------------------------------------------------------------------------
@@ -948,19 +946,43 @@ def _closed_upward(values: list[int]) -> list[int]:
     return table
 
 
+def _defined_swing_sum(values, masses, kind, bit, n) -> Fraction:
+    """The swings ``values[S | bit] - values[S]`` over the masks S without
+    ``bit``, each times its kind's weight, one mask at a time."""
+    total = Fraction(0)
+    for mask in range(len(values)):
+        swing = 0 if mask & bit else values[mask | bit] - values[mask]
+        if not swing:
+            continue
+        if kind is ScoreKind.SHAPLEY:
+            k = bin(mask).count("1")
+            weight = Fraction(math.factorial(k) * math.factorial(n - k - 1), math.factorial(n))
+        elif kind is ScoreKind.BANZHAF:
+            weight = Fraction(1, 1 << (n - 1))
+        elif kind is ScoreKind.POWER_TUPLE:
+            weight = 1
+        elif kind is ScoreKind.WEIGHTED_POWER:
+            weight = masses[mask]
+        else:  # the causal effect's subset form
+            weight = masses[mask] + masses[mask | bit]
+        total += swing * weight
+    return total
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_packed_kernel_equals_swing_sum_on_any_01_table(n):
     # Random tables are not monotone, so tuples also swing down; their
     # upward closures are.  Banzhaf and power read one popcount per tuple
     # (2 popcount((T >> b) & lacking_b) - popcount(T)), the other kinds
-    # the swing sets, and `swing_sum` adds the swings one mask at a time.
+    # the swing sets; the reference adds the swings one mask at a time.
     rng = random.Random(n)
     inst = InstanceStore(
         {"P": RelationSchema("P", 1)},
         [TupleRecord(f"t{i}", "P", (f"c{i}",), "endogenous") for i in range(n)],
     )
     worlds = EndoWorlds(inst)
-    masses = worlds.mass_table(random_tid_space(rng, inst))
+    space = random_tid_space(rng, inst)
+    masses = _defined_masses(worlds, space)
     for monotone in (False, True):
         for _ in range(3):
             density = rng.choice((0.05, 0.5, 0.95))
@@ -969,11 +991,136 @@ def test_packed_kernel_equals_swing_sum_on_any_01_table(n):
                 values = _closed_upward(values)
             for kind in (ScoreKind.SHAPLEY, ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE,
                          ScoreKind.WEIGHTED_POWER, ScoreKind.GCES):
-                packed = _swing_scorer(worlds, _pack(values), kind, masses)
-                listed = _swing_scorer(worlds, values, kind, masses)
-                assert [packed(t) for t in inst.endogenous_order] == [
-                    listed(t) for t in inst.endogenous_order
+                score = _swing_scorer(worlds, kind, space)(_pack(values))
+                assert [score(t) for t in inst.endogenous_order] == [
+                    _defined_swing_sum(values, masses, kind, 1 << i, n)
+                    for i in range(n)
                 ], (kind, monotone)
+
+
+# ---------------------------------------------------------------------------
+# Aggregates as sums of Boolean games
+# ---------------------------------------------------------------------------
+
+#: Two symbols, a negative and two fractional numbers: a sum target may
+#: bind a non-numeric constant, which refuses the aggregate.
+AGGREGATE_CONSTANTS = ["a", "b", Fraction(-2), Fraction(1, 3), Fraction(3, 2)]
+
+
+def _random_aggregate_case(rng: random.Random) -> tuple[PDBSpace, Aggregate]:
+    """A count or sum over a space of 3-8 tuples, at most six endogenous:
+    facts may repeat under another tuple id (duplicate carriers) or be
+    exogenous carriers, and a body of 1-3 atoms over two relations often
+    joins one with itself."""
+    records = []
+    for i in range(rng.randint(3, 8)):
+        if records and rng.random() < 0.25:
+            pred, args = rng.choice(records).fact
+        else:
+            pred = rng.choice(["P", "S"])
+            args = tuple(rng.choice(AGGREGATE_CONSTANTS) for _ in range(CORPUS_SCHEMA[pred].arity))
+        endogenous = sum(r.is_endogenous for r in records) < 6 and rng.random() < 0.8
+        kind = "endogenous" if endogenous else "exogenous"
+        records.append(TupleRecord(f"t{i + 1}", pred, args, kind))
+    inst = InstanceStore(CORPUS_SCHEMA, records)
+    atoms = tuple(
+        Atom(pred, tuple(
+            Var(rng.choice("XYZ")) if rng.random() < 0.9 else rng.choice(AGGREGATE_CONSTANTS)
+            for _ in range(CORPUS_SCHEMA[pred].arity)
+        ))
+        for pred in rng.choices(["P", "S"], k=rng.choice((1, 2, 2, 3)))
+    )
+    variables = sorted({v for atom in atoms for v in atom.variables})
+    if variables and rng.random() < 0.7:
+        q = Aggregate(SUM, Var(rng.choice(variables)), atoms)
+    else:
+        q = Aggregate(COUNT, None, atoms)
+    if rng.random() < 0.5:
+        return random_tid_space(rng, inst), q
+    return random_explicit_space(rng, inst, 12), q
+
+
+def _first_refusal(inst: InstanceStore, q: Aggregate) -> str | None:
+    """The message of the first subset, in ascending mask order, whose
+    evaluation refuses the aggregate."""
+    worlds = EndoWorlds(inst)
+    for mask in range(worlds.size):
+        try:
+            evaluate(q, inst, worlds.world(mask))
+        except InputError as exc:
+            return str(exc)
+    return None
+
+
+def test_aggregate_scores_match_the_oracles_on_random_corpus():
+    rng = random.Random(2600)
+    kinds = (ScoreKind.BANZHAF, ScoreKind.POWER_TUPLE, ScoreKind.WEIGHTED_POWER, ScoreKind.SHAPLEY)
+    refused = scored = 0
+    for _ in range(150):
+        space, q = _random_aggregate_case(rng)
+        inst = space.instance
+        tids = inst.endogenous_order
+        refusal = _first_refusal(inst, q)
+        if refusal is not None:
+            refused += 1
+            for kind in kinds:
+                with pytest.raises(InputError) as caught:
+                    score_all(space, q, kind)
+                assert str(caught.value) == refusal, (q, kind)
+            for tid in tids:
+                with pytest.raises(InputError) as caught:
+                    gces_subset_form(space, q, tid)
+                assert str(caught.value) == refusal
+            continue
+        scored += 1
+        for kind in kinds:
+            if kind is ScoreKind.SHAPLEY and len(tids) > 4:
+                continue  # the permutation oracle grows as N!
+            oracle = SCORE_ORACLES[kind]
+            assert score_all(space, q, kind).values() == {t: oracle(space, q, t) for t in tids}, (
+                q, kind)
+        for tid in tids:
+            assert gces_subset_form(space, q, tid) == oracle_causal_effect(space, q, tid)
+    assert refused >= 20 and scored >= 80
+
+
+def _renamed(space: PDBSpace, rename: dict[str, str]) -> PDBSpace:
+    inst = space.instance
+    recs = [TupleRecord(rename[r.tid], r.predicate, r.args, r.kind) for r in inst.records()]
+    rep = space.representation
+    if isinstance(rep, TupleIndependent):
+        rep = TupleIndependent({rename[t]: p for t, p in rep.marginals.items()})
+    else:
+        rep = ExplicitWorlds(
+            [(frozenset(map(rename.get, w)), m) for w, m in rep.masses.items()]
+        )
+    return PDBSpace(InstanceStore(inst.schema, recs), rep)
+
+
+def test_renaming_the_tuples_permutes_every_score_map():
+    # A bijection on tuple ids reorders the subset bits; every kind's score
+    # map must follow the renaming, for Boolean queries and aggregates alike.
+    rng = random.Random(2601)
+    cases = []
+    while len(cases) < 16:
+        if len(cases) % 2:
+            space, q = _random_aggregate_case(rng)
+            if _first_refusal(space.instance, q) is not None:
+                continue
+        else:
+            inst = random_instance(rng, 6, n_exogenous=1)
+            q = random_boolean_query(rng)
+            space = random_tid_space(rng, inst) if len(cases) % 4 else random_explicit_space(rng, inst)
+        cases.append((space, q))
+    for space, q in cases:
+        tids = sorted(space.instance.tids)
+        rename = dict(zip(tids, rng.sample([f"u{i}" for i in range(len(tids))], len(tids))))
+        renamed = _renamed(space, rename)
+        for kind in ScoreKind:
+            if kind is ScoreKind.CES_TID and not space.is_tid:
+                continue
+            want = {rename[t]: v for t, v in score_all(space, q, kind).values().items()}
+            assert score_all(renamed, q, kind).values() == want, (q, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,15 +1374,15 @@ def test_boolean_subset_scores_never_repack_the_lineage(kind, tmp_path, capsys, 
         assert main([str(a) for a in argv]) == 0
         assert capsys.readouterr().out == out
 
-    # An aggregate's table stays a list and is summed by `swing_sum`.
-    sums = []
-    original = scores_module.swing_sum
-    monkeypatch.setattr(
-        scores_module, "swing_sum", lambda *args: sums.append(1) or original(*args)
-    )
+    # An aggregate is scored as a sum of games from one homomorphism walk:
+    # no subset is evaluated and no value table built.
+    calls = []
+    for module in (queries_module, scores_module):
+        monkeypatch.setattr(module, "evaluate", lambda *args: calls.append(args))
+    monkeypatch.setattr(EndoWorlds, "value_table", lambda *args: calls.append(args))
     code = main(["score", "--kind", kind, "--pdb", str(FIXTURES / "paths_full_instance.json"),
                  "--query", str(FIXTURES / "sum_query.q")])
-    assert code == 0 and sums, capsys.readouterr().err
+    assert code == 0 and calls == [], capsys.readouterr().err
 
 
 def test_score_kind_requirements():
