@@ -48,6 +48,34 @@ class ResourceLimitError(RuntimeError):
     """An exact enumeration would exceed a configured size cap."""
 
 
+_KEEPERS: list = []
+
+
+def _kept(size: int):
+    """Keep the results of a function's last ``size`` distinct calls, each
+    keyed by its arguments and Python's int digit limit, so what was
+    derived under one limit is not served under another.  An error is
+    never kept: a failing call fails again every time."""
+
+    def keep(derive):
+        keyed = lru_cache(maxsize=size)(lambda _limit, *args: derive(*args))
+        _KEEPERS.append(keyed)
+
+        def kept(*args):
+            return keyed(sys.get_int_max_str_digits(), *args)
+
+        kept.cache_info = keyed.cache_info
+        return kept
+
+    return keep
+
+
+def clear_kept() -> None:
+    """Forget every kept parse and subset lattice: each is derived again."""
+    for keyed in _KEEPERS:
+        keyed.cache_clear()
+
+
 class Probability(Fraction):
     """An exact rational probability, validated to lie in [0, 1].
 
@@ -71,47 +99,22 @@ class Probability(Fraction):
     @classmethod
     def from_wire(cls, text) -> "Probability":
         """Parse a probability from its wire form: a decimal string like
-        ``"0.25"`` or a rational string like ``"1/12"``.
-
-        The plain forms (ASCII digits around one ``/``, or around at most
-        one ``.``) are read as an integer pair, checked for range once on
-        the integers and built as one ``Fraction``.  Every other string,
-        and every plain one out of range or past Python's digit limit,
-        takes the general route (`_parse_fraction`), so the accepted
-        strings, the values and the messages are those of that route.
-        A document repeats a few marginals many times, so the values of
-        the last texts parsed, under the digit limit in force, are kept
-        (`_probability_text`); an error is raised again on every call."""
+        ``"0.25"`` or a rational string like ``"1/12"`` (`_parse_fraction`).
+        A document repeats a few marginals, so the last 64 texts are kept."""
         if not isinstance(text, str):
             raise InputError(
                 f"probability must be a decimal or num/den string, got {text!r}"
             )
-        return _probability_text(cls, text, sys.get_int_max_str_digits())
+        return _probability_text(cls, text)
 
 
-@lru_cache(maxsize=64)
-def _probability_text(cls: type[Probability], text: str, _digit_limit: int) -> Probability:
-    plain = _PLAIN_PROBABILITY.fullmatch(text)
-    if plain is not None:
-        num, den, whole, decimals = plain.groups()
-        try:
-            if den is None:
-                num, den = int(whole + decimals), 10 ** len(decimals)
-            else:
-                num, den = int(num), int(den)
-        except ValueError:  # no digits, or past the digit limit
-            pass
-        else:
-            if num <= den and den:
-                return Fraction.__new__(cls, num, den)
+@_kept(64)
+def _probability_text(cls: type[Probability], text: str) -> Probability:
     try:
         value = _parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
     return cls(value)
-
-
-_PLAIN_PROBABILITY = re.compile(r"([0-9]+)/([0-9]+)|([0-9]*)\.?([0-9]*)")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -741,19 +744,17 @@ def load_pdb_file(path) -> PdbDocument:
     """Read and parse a PDB JSON document (`parse_pdb_document`).
 
     The file is read on every call, so a rewritten file is always seen.
-    The parse of the text read last is reused while the text and Python's
-    int digit limit (`sys.get_int_max_str_digits`) stay the same, so a
-    repeated document comes back with its space's validity verdict and its
-    instance's argument index already built.  Errors are not kept: a
-    failing document fails again on every call, and a JSON error names that
-    call's path."""
+    The parse of the text read last is kept (`_kept`), so a repeated
+    document comes back with its space's validity verdict and its
+    instance's argument index already built.  A failing document fails
+    again on every call, and a JSON error names that call's path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except ValueError as exc:  # not UTF-8
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        return _parse_document_text(text, sys.get_int_max_str_digits())
+        return _parse_document_text(text)
     except _NotJSON as refused:
         exc = refused.__cause__
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
@@ -764,8 +765,8 @@ class _NotJSON(Exception):
     the path."""
 
 
-@lru_cache(maxsize=1)
-def _parse_document_text(text: str, _digit_limit: int) -> PdbDocument:
+@_kept(1)
+def _parse_document_text(text: str) -> PdbDocument:
     try:
         doc = json.loads(text)
     # ValueError: bad JSON, or an int past the digit limit;

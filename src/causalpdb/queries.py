@@ -41,10 +41,9 @@ literals.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
@@ -54,6 +53,7 @@ from .core import (
     PDBSpace,
     Probability,
     RelationSchema,
+    _kept,
     _ratio_sum,
     constant_repr,
     enumerate_worlds,
@@ -112,8 +112,16 @@ class Atom:
         return f"{self.predicate}({','.join(map(term_repr, self.terms))})"
 
 
+class _Rendered:
+    """A query whose text (`str`) is rendered once, as `text`."""
+
+    @cached_property
+    def text(self) -> str:
+        return str(self)
+
+
 @dataclass(frozen=True)
-class BCQ:
+class BCQ(_Rendered):
     atoms: tuple[Atom, ...]
 
     @property
@@ -125,7 +133,7 @@ class BCQ:
 
 
 @dataclass(frozen=True)
-class UBCQ:
+class UBCQ(_Rendered):
     disjuncts: tuple[BCQ, ...]
 
     def __str__(self) -> str:
@@ -133,7 +141,7 @@ class UBCQ:
 
 
 @dataclass(frozen=True)
-class Aggregate:
+class Aggregate(_Rendered):
     op: str  # SUM or COUNT
     target: Var | None
     atoms: tuple[Atom, ...]
@@ -144,7 +152,7 @@ class Aggregate:
 
 
 @dataclass(frozen=True)
-class QueryOfSet:
+class QueryOfSet(_Rendered):
     """The monotone Boolean query that is true exactly on supersets of a
     fixed tuple-id set."""
 
@@ -155,7 +163,7 @@ class QueryOfSet:
 
 
 @dataclass(frozen=True)
-class ConjQuery:
+class ConjQuery(_Rendered):
     """World-level conjunction of monotone Boolean queries."""
 
     parts: tuple["BooleanQuery", ...]
@@ -165,7 +173,7 @@ class ConjQuery:
 
 
 @dataclass(frozen=True)
-class DisjQuery:
+class DisjQuery(_Rendered):
     """World-level disjunction of monotone Boolean queries."""
 
     parts: tuple["BooleanQuery", ...]
@@ -369,12 +377,10 @@ def load_query_file(path, schema=None) -> Query:
     schema when one is given.
 
     The file is read on every call, so a rewritten file is always seen.
-    As `core.load_pdb_file` does for documents, the parses of the last 8
-    texts are reused, each keyed by the text, the schema's items and
-    Python's int digit limit (`sys.get_int_max_str_digits`), so the same
-    text under another schema is checked again.  A schema that cannot be
-    hashed (say, a relation with list tags) is parsed on every call.
-    Errors are not kept: a failing text fails again on every call."""
+    The parses of the last 8 texts are kept (`core._kept`), each keyed by
+    the text and the schema's items, so the same text under another
+    schema is checked again.  A schema that cannot be hashed (say, a
+    relation with list tags) is parsed on every call."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
@@ -385,11 +391,11 @@ def load_query_file(path, schema=None) -> Query:
         hash(items)
     except TypeError:  # no key to keep the parse by
         return parse_query(text, schema)
-    return _parse_query_text(text, items, sys.get_int_max_str_digits())
+    return _parse_query_text(text, items)
 
 
-@lru_cache(maxsize=8)
-def _parse_query_text(text: str, schema_items: tuple | None, _digit_limit: int) -> Query:
+@_kept(8)
+def _parse_query_text(text: str, schema_items: tuple | None) -> Query:
     return parse_query(text, None if schema_items is None else dict(schema_items))
 
 

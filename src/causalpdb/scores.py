@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -56,6 +56,7 @@ from .core import (
     PDBSpace,
     ResourceLimitError,
     TupleIndependent,
+    _kept,
     _ratio_sum,
     fraction_to_decimal,
     make_uniform_tid,
@@ -145,11 +146,7 @@ class _Lattice:
 #: Lattices of at most 2^16 subsets are kept, all sizes together under
 #: 1 MB; a larger one is built for each table and dropped with it.
 _KEPT_TUPLES = 16
-
-
-@lru_cache(maxsize=_KEPT_TUPLES + 1)
-def _kept_lattice(n: int) -> _Lattice:
-    return _Lattice(n)
+_kept_lattice = _kept(_KEPT_TUPLES + 1)(_Lattice)
 
 
 def _lattice(n: int) -> _Lattice:
@@ -710,7 +707,7 @@ def score_all(
     report_values = {e.tid: e.value for e in entries}
     return ScoreReport(
         kind=kind,
-        query=str(q),
+        query=q.text,
         n_endogenous=len(tids),
         entries=tuple(entries),
         ranking=_rank(report_values),

@@ -26,6 +26,7 @@ from causalpdb import (
     TupleRecord,
     UBCQ,
     Var,
+    clear_kept,
     evaluate,
     load_pdb_file,
     load_query_file,
@@ -35,22 +36,13 @@ from causalpdb.queries import Atom
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def clear_document_memo() -> None:
-    """Forget the document parse `load_pdb_file` reuses, so the next load
-    of any text parses it afresh, whatever ran before."""
-    from causalpdb import core
-
-    core._parse_document_text.cache_clear()
-
-
 def count_validations(monkeypatch) -> list[PDBSpace]:
     """Record every space `core.validate` is called on, in call order,
-    starting from an empty document memo (`clear_document_memo`), so a
-    document the test loads is parsed, and its space validated, in the
-    test."""
+    starting from empty memos (`clear_kept`), so a document the test
+    loads is parsed, and its space validated, in the test."""
     from causalpdb import core
 
-    clear_document_memo()
+    clear_kept()
     calls = []
 
     def counting(pdb, _validate=core.validate):

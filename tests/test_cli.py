@@ -989,11 +989,9 @@ def test_one_level_parse_answers_as_the_full_parser(monkeypatch, capsys, argv):
 
 
 def test_axioms_walks_the_homomorphisms_once_per_request(monkeypatch, capsys):
-    from causalpdb import scores
+    from causalpdb import clear_kept, scores
 
-    from helpers import clear_document_memo
-
-    clear_document_memo()
+    clear_kept()
     walks = []
     original = scores._homomorphism_images
     monkeypatch.setattr(scores, "_homomorphism_images",

@@ -1,31 +1,34 @@
 """`load_pdb_file` reuses the parse of identical text: it keeps the last
 document it parsed.  `load_query_file` keeps the last 8 query parses, each
 keyed by the text, the schema and the int digit limit.  Both read the file
-on every call; errors are never kept."""
+on every call; errors are never kept, and `clear_kept` forgets every kept
+parse."""
 
 import dataclasses
 import gc
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from causalpdb import InputError, QuerySyntaxError, RelationSchema, load_pdb_file, load_query_file
-from causalpdb import queries
+from causalpdb import (
+    InputError, QuerySyntaxError, RelationSchema, ScoreKind, clear_kept, load_pdb_file,
+    load_query_file, score_all,
+)
+from causalpdb import core, queries, scores
 
-from helpers import FIXTURES, clear_document_memo
+from helpers import FIXTURES
 
 LONG_NUMBER = "1" * 5000  # past the 4300-digit int conversion limit
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    clear_document_memo()
-    queries._parse_query_text.cache_clear()
+    clear_kept()
     yield
-    clear_document_memo()
-    queries._parse_query_text.cache_clear()
+    clear_kept()
 
 
 @pytest.fixture
@@ -123,6 +126,56 @@ def test_a_loaded_document_is_freed_by_the_next(tmp_path):
     load_pdb_file(b)
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_a_scored_document_is_freed_by_the_next(tmp_path):
+    # Scoring keeps a lattice, a query parse and the instance's lineage
+    # table; none of them may pin the scored document.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(_doc_text("1/2"))
+    b.write_text(_doc_text("1/3"))
+    doc = load_pdb_file(a)
+    (tmp_path / "q.q").write_text("Q() :- R(X)")
+    q = load_query_file(tmp_path / "q.q", doc.instance.schema)
+    assert score_all(doc.space, q, ScoreKind.SHAPLEY).values() == {"t1": Fraction(1)}
+    refs = [weakref.ref(doc), weakref.ref(doc.space), weakref.ref(doc.instance)]
+    del doc
+    load_pdb_file(b)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_clear_kept_makes_every_memo_derive_again(monkeypatch):
+    # Count what each memo derives: documents, query texts, probability
+    # texts and subset lattices.
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(core, "parse_pdb_document")
+    counted(queries, "parse_query")
+    counted(core, "_parse_fraction")
+    counted(scores._Lattice, "__init__")
+
+    def load_and_score():
+        calls.clear()
+        doc = load_pdb_file(FIXTURES / "four_worlds_pdb.json")
+        q = load_query_file(FIXTURES / "path_query.q", doc.instance.schema)
+        score_all(doc.space, q, ScoreKind.SHAPLEY)
+        return dict(calls)
+
+    first = load_and_score()
+    assert set(first) == {"parse_pdb_document", "parse_query", "_parse_fraction", "__init__"}
+    assert load_and_score() == {}
+    clear_kept()
+    assert load_and_score() == first
 
 
 

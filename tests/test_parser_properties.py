@@ -1,14 +1,14 @@
 """Property tests for the two text parsers: whatever the input, the query
 parser and the document parser either succeed or raise `InputError`; and
-the probability parser's integer-pair fast path answers as the general
-route does."""
+the probability parser, memo included, answers as `_parse_fraction` plus
+the [0, 1] rule does."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalpdb import InputError, Probability, RelationSchema, parse_pdb_document, parse_query
-from causalpdb.core import _parse_fraction
+from causalpdb.core import _number_text, _parse_fraction
 
 # Every character the query grammar knows, in the pieces it reads them as.
 QUERY_PIECES = [
@@ -108,12 +108,14 @@ def test_parse_pdb_document_raises_only_input_errors(doc):
 
 
 def _general_route(text: str) -> Probability:
-    """`Probability.from_wire` without its fast path: every string through
-    `_parse_fraction`, with the same error wrapping."""
+    """A probability by definition: `_parse_fraction`, then the [0, 1] rule,
+    with `from_wire`'s messages."""
     try:
         value = _parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse probability {text!r}: {exc}") from exc
+    if not 0 <= value <= 1:
+        raise InputError(f"probability {_number_text(value)!r} outside [0, 1]")
     return Probability(value)
 
 
@@ -168,7 +170,7 @@ def test_probability_memo_matches_the_unmemoized_route():
     # error is raised on every call.
     import sys
 
-    from causalpdb import core
+    from causalpdb import clear_kept, core
 
     limits = (0, 4300, 0)
     saved = sys.get_int_max_str_digits()
@@ -177,11 +179,11 @@ def test_probability_memo_matches_the_unmemoized_route():
         for limit in set(limits):
             sys.set_int_max_str_digits(limit)
             for text in MEMO_CORPUS:
-                core._probability_text.cache_clear()
+                clear_kept()
                 expected[limit, text] = _outcome(Probability.from_wire, text)
         assert expected[0, DIGITS_5000][0] is Probability
         assert expected[4300, DIGITS_5000][0] is InputError
-        core._probability_text.cache_clear()
+        clear_kept()
         for limit in limits:
             sys.set_int_max_str_digits(limit)
             for text in MEMO_CORPUS * 2:

@@ -24,6 +24,7 @@ from causalpdb import (
     causal_effect,
     ces_ui,
     check_sym,
+    clear_kept,
     delta,
     gces_oracle,
     gces_subset_form,
@@ -1491,7 +1492,7 @@ def test_lattice_masks_serve_alternating_table_sizes():
     # Tuples no query reads are null players: they score 0, leave Shapley,
     # Banzhaf and weighted power as they are, and double power each, so
     # the oracles on the unpadded instance give every padded score.
-    scores_module._kept_lattice.cache_clear()
+    clear_kept()
     rng = random.Random(2525)
     for n in (3, 12, 5, 12, 16, 17):
         space, unpadded, q = _padded_draw(rng, n)
