@@ -40,9 +40,7 @@ from .queries import (
     ComponentPartition,
     ConjQuery,
     DichotomyError,
-    DisjQuery,
     MssFamily,
-    QueryOfSet,
     QuerySyntaxError,
     UBCQ,
     Var,

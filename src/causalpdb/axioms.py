@@ -36,10 +36,10 @@ from .queries import (
     BCQ,
     ComponentPartition,
     ConjQuery,
-    DisjQuery,
     Query,
-    QueryOfSet,
+    UBCQ,
     Var,
+    _disjuncts,
     components,
     evaluate,
     is_boolean,
@@ -211,12 +211,15 @@ def check_lin(
     pdb: PDBSpace, qa: Query, qb: Query, score_fn: ScoreFunction,
     cap: int | None = None,
 ) -> AxiomVerdict:
-    """Scores must add across the world-level disjunction and conjunction of
-    two monotone Boolean queries."""
+    """Scores must add across the disjunction and conjunction of two
+    monotone Boolean queries.  Each must be a BCQ or a union: their
+    disjunction is the union of their disjuncts, scored like any union, and
+    their conjunction the world-level `ConjQuery`."""
     _require_boolean(qa)
     _require_boolean(qb)
+    refused = "LIN's disjunction is defined"
+    either = UBCQ(_disjuncts(qa, refused) + _disjuncts(qb, refused))
     both = ConjQuery((qa, qb))
-    either = DisjQuery((qa, qb))
     witnesses = []
     for tid in pdb.instance.endogenous_order:
         lhs = score_fn(pdb, either, tid) + score_fn(pdb, both, tid)
@@ -362,8 +365,8 @@ def verify_product_formula(
 def mss_decomposition_check(
     instance: InstanceStore, q: Query, cap: int = 12
 ) -> AxiomVerdict:
-    """Exhaustively confirm that on every subinstance the query agrees with
-    the disjunction of its minimal satisfiable sets' containment queries."""
+    """Exhaustively confirm that on every subinstance the query holds iff
+    the subinstance contains one of the query's minimal satisfiable sets."""
     _require_boolean(q)
     tids = sorted(instance.tids)
     if len(tids) > cap:
@@ -371,12 +374,11 @@ def mss_decomposition_check(
             f"{len(tids)} tuples exceed the decomposition check cap of {cap}"
         )
     family = minimal_satisfiable_sets(instance, q)
-    decomposed = DisjQuery(tuple(QueryOfSet(s) for s in family))
     witnesses = []
     for mask in range(1 << len(tids)):
         world = frozenset(t for i, t in enumerate(tids) if mask >> i & 1)
         direct = evaluate(q, instance, world)
-        via_family = evaluate(decomposed, instance, world) if len(family) else 0
+        via_family = int(any(s <= world for s in family))
         if direct != via_family:
             witnesses.append(
                 Witness(f"world {sorted(world)}", Fraction(direct), Fraction(via_family))

@@ -92,7 +92,7 @@ class Probability(Fraction):
             self = super().__new__(cls, value)
         else:
             self = super().__new__(cls, value, denominator)
-        if not 0 <= self <= 1:
+        if not 0 <= self.numerator <= self.denominator:
             raise InputError(f"probability {_number_text(self)!r} outside [0, 1]")
         return self
 
@@ -249,6 +249,8 @@ class RelationSchema:
     tags: tuple[str, ...] | None = None  # per-position SYMBOLIC/NUMERIC, None = unchecked
 
     def __post_init__(self):
+        if self.arity < 0:
+            raise InputError(f"relation {self.name!r}: negative arity {self.arity}")
         if self.tags is not None:
             if len(self.tags) != self.arity:
                 raise InputError(

@@ -152,17 +152,6 @@ class Aggregate(_Rendered):
 
 
 @dataclass(frozen=True)
-class QueryOfSet(_Rendered):
-    """The monotone Boolean query that is true exactly on supersets of a
-    fixed tuple-id set."""
-
-    base: frozenset[str]
-
-    def __str__(self) -> str:
-        return "contains{" + ",".join(sorted(self.base)) + "}"
-
-
-@dataclass(frozen=True)
 class ConjQuery(_Rendered):
     """World-level conjunction of monotone Boolean queries."""
 
@@ -172,17 +161,7 @@ class ConjQuery(_Rendered):
         return " AND ".join(f"({p})" for p in self.parts)
 
 
-@dataclass(frozen=True)
-class DisjQuery(_Rendered):
-    """World-level disjunction of monotone Boolean queries."""
-
-    parts: tuple["BooleanQuery", ...]
-
-    def __str__(self) -> str:
-        return " OR ".join(f"({p})" for p in self.parts)
-
-
-BooleanQuery = BCQ | UBCQ | QueryOfSet | ConjQuery | DisjQuery
+BooleanQuery = BCQ | UBCQ | ConjQuery
 Query = BooleanQuery | Aggregate
 
 
@@ -480,12 +459,8 @@ def evaluate(q: Query, instance: InstanceStore, tids: Iterable[str]):
     the target value once per distinct body assignment; COUNT counts
     distinct assignments)."""
     world = frozenset(tids)
-    if isinstance(q, QueryOfSet):
-        return int(q.base <= world)
     if isinstance(q, ConjQuery):
         return min(evaluate(p, instance, world) for p in q.parts)
-    if isinstance(q, DisjQuery):
-        return max(evaluate(p, instance, world) for p in q.parts)
     if not world <= instance.tids:
         raise InputError(f"unknown tuple id {min(world - instance.tids)!r}")
     if isinstance(q, Aggregate):
@@ -856,22 +831,23 @@ class MssFamily:
         return [sorted(s) for s in self.sets]
 
 
+def _disjuncts(q: Query, refused: str) -> tuple[BCQ, ...]:
+    """The BCQs whose union is ``q``, a BCQ or a union; any other form is
+    refused with ``refused`` and the form's name."""
+    if isinstance(q, BCQ):
+        return (q,)
+    if isinstance(q, UBCQ):
+        return q.disjuncts
+    raise InputError(f"{refused} for BCQs and unions, not {type(q).__name__}")
+
+
 def _homomorphism_images(
     instance: InstanceStore, q: BooleanQuery
 ) -> Iterator[frozenset[str]]:
     """The tuple-id sets that homomorphisms of a BCQ, or of a union's
     disjuncts, map the atoms onto, one per homomorphism (repeats
     included).  The query holds on a world iff the world contains one."""
-    if isinstance(q, BCQ):
-        disjuncts: tuple[BCQ, ...] = (q,)
-    elif isinstance(q, UBCQ):
-        disjuncts = q.disjuncts
-    else:
-        raise InputError(
-            f"homomorphism images are defined for BCQs and unions, "
-            f"not {type(q).__name__}"
-        )
-    for disjunct in disjuncts:
+    for disjunct in _disjuncts(q, "homomorphism images are defined"):
         chosen: list[str] = []
         for _ in _homomorphisms(disjunct.atoms, instance, None, {}, chosen):
             yield frozenset(chosen)

@@ -35,7 +35,8 @@ The table of a BCQ, a union or one such game comes from its lineage: over
 a fixed instance such a query is the DNF of its homomorphism images, so a
 subset satisfies it iff it holds an image's endogenous part.  The images'
 masks are set in one integer and closed upward by one shift per tuple.
-The world-level forms are evaluated subset by subset.
+The world-level conjunction (`ConjQuery`), and a query with more images
+than the table has subsets, are evaluated subset by subset.
 """
 
 from __future__ import annotations

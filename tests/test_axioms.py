@@ -7,7 +7,6 @@ import pytest
 
 from causalpdb import (
     ConjQuery,
-    DisjQuery,
     InputError,
     InstanceStore,
     PDBSpace,
@@ -16,6 +15,7 @@ from causalpdb import (
     ResourceLimitError,
     TupleIndependent,
     TupleRecord,
+    UBCQ,
     banzhaf_score,
     causal_effect,
     check_dum,
@@ -35,7 +35,10 @@ from causalpdb import (
 )
 
 from helpers import (
+    all_worlds_with_mass,
     ground_pair_query,
+    oracle_causal_effect,
+    oracle_eval,
     path_query,
     paths_instance,
     power_p_space,
@@ -47,6 +50,8 @@ from helpers import (
     random_boolean_query,
     random_explicit_space,
     random_instance,
+    random_tid_space,
+    world_facts,
 )
 
 
@@ -127,13 +132,75 @@ def test_lin_component_values():
     inst = space.instance
     q = power_query(inst.schema)
     q2 = power_query_prime(inst.schema)
-    either = DisjQuery((q, q2))
+    either = UBCQ((q, q2))
     both = ConjQuery((q, q2))
     assert causal_effect(space, q2, "t3") == 1
     assert causal_effect(space, both, "t3") == 1
     assert causal_effect(space, either, "t3") == Fraction(1, 2)
     skew = power_pprime_space()
     assert causal_effect(skew, either, "t3") == Fraction(5, 12)
+
+
+def test_lin_names_a_witness_for_a_nonlinear_score():
+    schema = {"R": RelationSchema("R", 1)}
+    recs = [TupleRecord("t1", "R", ("a",), "endogenous"),
+            TupleRecord("t2", "R", ("b",), "endogenous")]
+    space = make_uniform_tid(InstanceStore(schema, recs))
+    qa = parse_query("Q() :- R(a)", schema)
+    qb = parse_query("Q() :- R(b)", schema)
+    assert check_lin(space, qa, qb, banzhaf_score).holds
+    # Banzhaf is 1 and 0 on the two queries, 1/2 on their OR and AND, so
+    # its square reads 1/4 + 1/4 against 1 + 0 on each tuple.
+    squared = check_lin(space, qa, qb, lambda *args: banzhaf_score(*args) ** 2)
+    assert not squared.holds
+    assert [str(w) for w in squared.witnesses] == [
+        "tuple t1: 1/2 != 1 (0.500000 vs 1.000000)",
+        "tuple t2: 1/2 != 1 (0.500000 vs 1.000000)",
+    ]
+
+
+def test_lin_takes_bcqs_and_unions_only():
+    space = power_p_space()
+    q = power_query(space.instance.schema)
+    q2 = power_query_prime(space.instance.schema)
+    with pytest.raises(InputError) as refused:
+        check_lin(space, ConjQuery((q, q2)), q2, gces_score)
+    assert str(refused.value) == (
+        "LIN's disjunction is defined for BCQs and unions, not ConjQuery"
+    )
+    count = parse_query("Q(count()) :- S(W,W)", space.instance.schema)
+    with pytest.raises(InputError, match="axiom checks take monotone Boolean queries"):
+        check_lin(space, q, count, gces_score)
+
+
+def test_lin_disjunction_is_the_union_of_disjuncts_on_random_corpus():
+    # The OR that LIN scores is the union of both queries' disjuncts; its
+    # causal effect matches the definition sum, and it holds on a world iff
+    # one of the two queries does (by the independent evaluator).
+    rng = random.Random(3030)
+    for draw in range(30):
+        inst = random_instance(rng, max_endogenous=5)
+        space = (random_tid_space if draw % 2 else random_explicit_space)(rng, inst)
+        qa, qb = random_boolean_query(rng), random_boolean_query(rng)
+        asked = []
+
+        def recording(pdb, q, tid):
+            asked.append(q)
+            return gces_score(pdb, q, tid)
+
+        assert check_lin(space, qa, qb, recording).holds
+        either = asked[0]
+        parts = [q.disjuncts if isinstance(q, UBCQ) else (q,) for q in (qa, qb)]
+        assert either == UBCQ(parts[0] + parts[1])
+        for world, _ in all_worlds_with_mass(space):
+            facts = world_facts(inst, world)
+            assert oracle_eval(either, facts) == max(
+                oracle_eval(qa, facts), oracle_eval(qb, facts)
+            )
+        for tid in inst.endogenous_order:
+            assert causal_effect(space, either, tid) == oracle_causal_effect(
+                space, either, tid
+            ), (draw, tid)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,38 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "mass-total" in out
 
 
+_R_T1 = {"tid": "t1", "predicate": "R", "args": ["a"], "kind": "endogenous"}
+
+
+@pytest.mark.parametrize("doc, code, line", [
+    ([], 2, "error: document root must be a JSON object"),
+    ({"tuples": []}, 2, "error: document needs a 'schema' object"),
+    ({"schema": {}, "tuples": {}}, 2, "error: document needs a 'tuples' list"),
+    ({"schema": {"R": 1}, "tuples": [1]}, 2, "error: bad tuple entry 1"),
+    ({"schema": {"R": 1}, "tuples": [{"tid": "t1", "args": []}]}, 2,
+     "error: tuple entry {'tid': 't1', 'args': []} misses ['kind', 'predicate']"),
+    ({"schema": {"R": 1}, "tuples": [{**_R_T1, "args": "a"}]}, 2,
+     "error: tuple 't1': args must be a list"),
+    ({"schema": {"R": 1}, "tuples": [_R_T1], "worlds": {}}, 2,
+     "error: 'worlds' must be a list"),
+    ({"schema": {"R": 1}, "tuples": [_R_T1], "marginals": []}, 2,
+     "error: 'marginals' must be an object"),
+    ({"schema": {"R": ["symbolic", "colour"]}, "tuples": []}, 2,
+     "error: relation 'R': unknown tag 'colour'"),
+    ({"schema": {"R": -1}, "tuples": []}, 2, "error: relation 'R': negative arity -1"),
+    ({"schema": {"R": 1}, "tuples": [_R_T1], "marginals": {"t1": "1", "t9": "1/2"}}, 1,
+     "violation [unknown-tid] marginal for unknown tuple id 't9'"),
+])
+def test_validate_names_each_wire_refusal(tmp_path, capsys, doc, code, line):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "validate", "--pdb", path)
+    # A refusal goes to stderr; a violation is the validation's report.
+    report, quiet = (err, out) if code == 2 else (out, err)
+    assert (got, report, quiet) == (code, line + "\n", "")
+    assert "Traceback" not in err
+
+
 def test_invalid_spaces_are_refused_before_scoring(tmp_path, capsys):
     query = FIXTURES / "path_query.q"
     for p, total in (("0.10", "9/10"), ("1.0", "9/5")):
@@ -336,6 +368,29 @@ def test_dichotomy_rejects_aggregates(capsys):
     )
     assert code == 2
     assert "BCQ" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("Q(X) :- R(X)", "error: line 1, column 3: free variables are not supported; "
+                     "head must be (), (sum(V)) or (count()), got 'X'"),
+    ("Q() :- R(X) S(Y)", "error: line 1, column 13: unexpected token 'S'"),
+    ("Q() :- R(,X)", "error: line 1, column 10: expected a term, got ','"),
+    ("Q() :- R(X) ; Q(count()) :- R(Y)", "error: rules mix aggregate and Boolean heads"),
+])
+def test_dichotomy_names_each_grammar_refusal(tmp_path, capsys, text, line):
+    query = tmp_path / "q.q"
+    query.write_text(text + "\n")
+    assert run(capsys, "dichotomy", "--query", query) == (2, "", line + "\n")
+
+
+def test_dichotomy_reads_a_rule_ending_in_a_dot(tmp_path, capsys):
+    outputs = []
+    for text in ("Q() :- R(X), S(X,Y)", "Q() :- R(X), S(X,Y)."):
+        query = tmp_path / "q.q"
+        query.write_text(text + "\n")
+        outputs.append(run(capsys, "dichotomy", "--query", query))
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0] == 0 and outputs[1][1].endswith("verdict:        PTIME\n")
 
 
 def test_axioms_command(capsys):

@@ -86,6 +86,27 @@ def test_probability_rejects_floats():
         Probability.from_wire(0.25)
 
 
+@pytest.mark.parametrize("args, value", [
+    ((0,), Fraction(0)), ((1,), Fraction(1)), ((0, 5), Fraction(0)), ((5, 5), Fraction(1)),
+    ((Fraction(0, 5),), Fraction(0)), ((Fraction(5, 5),), Fraction(1)),
+    (("0/5",), Fraction(0)), (("5/5",), Fraction(1)),
+])
+def test_probability_keeps_the_ends_of_the_unit_interval(args, value):
+    p = Probability(*args)
+    assert type(p) is Probability and p == value
+
+
+@pytest.mark.parametrize("args, text", [
+    ((-1, 3), "-1/3"), ((4, 3), "4/3"), ((1, -3), "-1/3"),
+    ((Fraction(-1, 3),), "-1/3"), ((Fraction(4, 3),), "4/3"),
+    (("-1/3",), "-1/3"), (("4/3",), "4/3"),
+])
+def test_probability_refuses_values_outside_the_unit_interval(args, text):
+    with pytest.raises(InputError) as refused:
+        Probability(*args)
+    assert str(refused.value) == f"probability {text!r} outside [0, 1]"
+
+
 def test_probability_arithmetic_degrades_to_fraction():
     result = Probability(1, 4) + Probability(1, 4)
     assert result == Fraction(1, 2)
@@ -169,6 +190,11 @@ def test_arity_mismatch_rejected():
     schema = {"P": RelationSchema("P", 2)}
     with pytest.raises(InputError, match="expects 2"):
         InstanceStore(schema, [TupleRecord("t1", "P", ("a",), "endogenous")])
+
+
+def test_negative_arity_rejected_where_declared():
+    with pytest.raises(InputError, match="relation 'P': negative arity -1"):
+        RelationSchema("P", -1)
 
 
 def test_undeclared_relation_rejected():
